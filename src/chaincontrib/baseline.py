@@ -24,7 +24,6 @@ from chaincontrib.dataset import ActorDataset, MetricSeries
 from chaincontrib.ensemble import (
     EnsembleHyper,
     Member,
-    MemberLayout,
     Normaliser,
     _chronological_split,
     forward,
@@ -70,10 +69,7 @@ class CentralModel:
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         mean, _ = forward(
-            self.member,
-            self.normaliser.transform(features),
-            training_mode=False,
-            clamp=self.log_variance_clamp,
+            self.member, self.normaliser.transform(features), self.log_variance_clamp
         )
         return mean * self.target_scale + self.target_center
 
@@ -89,11 +85,8 @@ def pool_features(
     """
     if not actors:
         raise ValueError("at least one actor dataset required")
-    ids = [
-        pid
-        for pid in metric.part_ids
-        if all(pid in set(a.part_ids) for a in actors)
-    ]
+    common = set.intersection(*(set(a.part_ids) for a in actors))
+    ids = [pid for pid in metric.part_ids if pid in common]
     if not ids:
         raise ValueError("no part ids shared by every actor and the metric")
 
@@ -133,7 +126,7 @@ def train_central(
     spread = float(targets[train_slice].std())
     scale = spread if spread > 0.0 else 1.0
 
-    member = init_member(MemberLayout(features.shape[1], hyper.hidden_size), seed)
+    member = init_member(features.shape[1], hyper.hidden_size, seed)
     trained = train_member(
         member,
         normaliser.transform(features),
@@ -254,16 +247,13 @@ def kernel_shap(
         rng = np.random.default_rng(seed)
         size_mass = np.array([(d - 1) / (s * (d - s)) for s in range(1, d)])
         size_prob = size_mass / size_mass.sum()
-        counts: dict[tuple[bool, ...], int] = {}
         sizes_drawn = rng.choice(np.arange(1, d), size=sample_count, p=size_prob)
-        for s in sizes_drawn:
-            members = rng.choice(d, size=int(s), replace=False)
-            mask = np.zeros(d, dtype=bool)
-            mask[members] = True
-            key = tuple(mask.tolist())
-            counts[key] = counts.get(key, 0) + 1
-        masks = np.array(sorted(counts), dtype=bool)
-        weights = np.array([counts[tuple(m.tolist())] for m in masks], dtype=float)
+        drawn = np.zeros((sample_count, d), dtype=bool)
+        for row, s in zip(drawn, sizes_drawn):
+            row[rng.choice(d, size=int(s), replace=False)] = True
+        # Repeated coalitions merge into one row weighted by its count.
+        masks, counts = np.unique(drawn, axis=0, return_counts=True)
+        weights = counts.astype(float)
 
     values = _coalition_values(fn, masks, instance, background_mean)
     return _solve_attribution(masks, weights, values, base, full)

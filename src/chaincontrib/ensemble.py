@@ -1,20 +1,20 @@
 """Deep-ensemble uncertainty estimation on a scalar quality metric.
 
-Each ensemble member is a one-hidden-layer network with two output heads,
-a predicted mean and a predicted log-variance, trained on the Gaussian
-negative log-likelihood so that the variance head learns the noise level
-of the data. Ensemble spread over the mean head measures what the model
-does not know; the averaged variance head measures what the data itself
-hides. Their sum is the scalar each actor reports.
+Each ensemble member is a network with one rectified-linear hidden layer
+and two output heads, a predicted mean and a predicted log-variance,
+trained on the Gaussian negative log-likelihood so that the variance head
+learns the noise level of the data. Ensemble spread over the mean head
+measures what the model does not know; the averaged variance head
+measures what the data itself hides. Their sum is the scalar each actor
+reports.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class EnsembleHyper:
 
     member_count: int = 5
     hidden_size: int = 50
-    activation: str = "relu"
     dropout_rate: float = 0.5
     batch_size: int = 128
     patience_epochs: int = 100
@@ -41,17 +40,12 @@ class EnsembleHyper:
     log_variance_clamp: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "log_variance_clamp",
-            (float(self.log_variance_clamp[0]), float(self.log_variance_clamp[1])),
-        )
+        lo, hi = (float(v) for v in self.log_variance_clamp)
+        object.__setattr__(self, "log_variance_clamp", (lo, hi))
         if self.member_count < 2:
             raise ValueError("member_count must be at least 2")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be positive")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.batch_size < 1:
@@ -64,55 +58,18 @@ class EnsembleHyper:
             raise ValueError("learning_rate must be non-negative")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
-        lo, hi = self.log_variance_clamp
         if not lo < hi:
             raise ValueError("log_variance_clamp must satisfy lo < hi")
 
     def to_dict(self) -> dict:
-        return {
-            "member_count": self.member_count,
-            "hidden_size": self.hidden_size,
-            "activation": self.activation,
-            "dropout_rate": self.dropout_rate,
-            "batch_size": self.batch_size,
-            "patience_epochs": self.patience_epochs,
-            "max_epochs": self.max_epochs,
-            "learning_rate": self.learning_rate,
-            "validation_fraction": self.validation_fraction,
-            "log_variance_clamp": list(self.log_variance_clamp),
-        }
+        return asdict(self) | {"log_variance_clamp": list(self.log_variance_clamp)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleHyper":
-        known = {
-            "member_count",
-            "hidden_size",
-            "activation",
-            "dropout_rate",
-            "batch_size",
-            "patience_epochs",
-            "max_epochs",
-            "learning_rate",
-            "validation_fraction",
-            "log_variance_clamp",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown hyperparameter fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "log_variance_clamp" in kwargs:
-            kwargs["log_variance_clamp"] = tuple(kwargs["log_variance_clamp"])
-        return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class MemberLayout:
-    input_size: int
-    hidden_size: int
-
-    def __post_init__(self) -> None:
-        if self.input_size < 1 or self.hidden_size < 1:
-            raise ValueError("layout sizes must be positive")
+        return cls(**data)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -142,64 +99,59 @@ class Member:
         if self.b1.shape != (self.w1.shape[1],) or self.w2.shape[0] != self.w1.shape[1]:
             raise ValueError("inconsistent layer shapes")
 
-    @property
-    def layout(self) -> MemberLayout:
-        return MemberLayout(self.w1.shape[0], self.w1.shape[1])
-
     def parameter_vector(self) -> np.ndarray:
         return np.concatenate(
             [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2]
         )
 
 
-def init_member(layout: MemberLayout, seed: int) -> Member:
+def init_member(input_size: int, hidden_size: int, seed: int) -> Member:
     """Randomly initialise one member; the seed fully determines the draw.
 
     Weights are zero-centred Gaussians scaled by fan-in (suited to the
     rectified-linear hidden layer); biases get a small random offset so
     that two members never start identical.
     """
+    if input_size < 1 or hidden_size < 1:
+        raise ValueError("layer sizes must be positive")
     rng = _rng(seed, 0)
-    w1 = rng.normal(0.0, np.sqrt(2.0 / layout.input_size), (layout.input_size, layout.hidden_size))
-    b1 = rng.normal(0.0, 0.1, layout.hidden_size)
-    w2 = rng.normal(0.0, np.sqrt(2.0 / layout.hidden_size), (layout.hidden_size, 2))
+    w1 = rng.normal(0.0, np.sqrt(2.0 / input_size), (input_size, hidden_size))
+    b1 = rng.normal(0.0, 0.1, hidden_size)
+    w2 = rng.normal(0.0, np.sqrt(2.0 / hidden_size), (hidden_size, 2))
     b2 = rng.normal(0.0, 0.1, 2)
     return Member(w1=w1, b1=b1, w2=w2, b2=b2, rng_seed=seed)
+
+
+def _layers(
+    member: Member, batch: np.ndarray, dropout_mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pre-activation, hidden, output) of a (rows, inputs) batch.
+
+    The network's only forward pass. ``member`` may be any object with
+    the four parameter arrays as attributes, as the trainer's in-place
+    state is.
+    """
+    if batch.ndim != 2 or batch.shape[1] != member.w1.shape[0]:
+        raise ValueError(
+            f"input of shape {batch.shape} does not match input arity "
+            f"{member.w1.shape[0]}"
+        )
+    pre = batch @ member.w1 + member.b1
+    hidden = np.maximum(pre, 0.0)
+    if dropout_mask is not None:
+        hidden = hidden * dropout_mask
+    return pre, hidden, hidden @ member.w2 + member.b2
 
 
 def forward(
     member: Member,
     x: np.ndarray,
-    training_mode: bool = False,
-    *,
-    dropout_rate: float = 0.0,
     clamp: tuple[float, float] = (-10.0, 10.0),
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One forward pass; returns (mean, clamped log-variance).
-
-    Accepts a single feature row or a stacked matrix. Dropout applies only
-    in training mode; evaluation mode is deterministic.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    batch = np.atleast_2d(x)
-    if batch.shape[1] != member.w1.shape[0]:
-        raise ValueError(
-            f"input arity {batch.shape[1]} does not match layout {member.w1.shape[0]}"
-        )
-    hidden = np.maximum(batch @ member.w1 + member.b1, 0.0)
-    if training_mode and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
-        keep = 1.0 - dropout_rate
-        hidden = hidden * (rng.random(hidden.shape) < keep) / keep
-    out = hidden @ member.w2 + member.b2
-    mean = out[:, 0]
-    log_var = np.clip(out[:, 1], clamp[0], clamp[1])
-    if single:
-        return float(mean[0]), float(log_var[0])
-    return mean, log_var
+    """Deterministic pass over a (rows, inputs) batch; returns (mean,
+    clamped log-variance) per row."""
+    _, _, out = _layers(member, np.asarray(x, dtype=float))
+    return out[:, 0], np.clip(out[:, 1], clamp[0], clamp[1])
 
 
 def nll_loss(mean, log_var, target):
@@ -235,11 +187,7 @@ def loss_and_gradients(
     if y.shape[0] != n:
         raise ValueError("features and targets disagree on row count")
 
-    pre = batch @ member.w1 + member.b1
-    hidden = np.maximum(pre, 0.0)
-    if dropout_mask is not None:
-        hidden = hidden * dropout_mask
-    out = hidden @ member.w2 + member.b2
+    pre, hidden, out = _layers(member, batch, dropout_mask)
     mean = out[:, 0]
     raw_log_var = out[:, 1]
     log_var = np.clip(raw_log_var, clamp[0], clamp[1])
@@ -271,7 +219,7 @@ def _chronological_split(row_count: int, validation_fraction: float) -> tuple[sl
 
 
 def _eval_nll(member: Member, features: np.ndarray, targets: np.ndarray, clamp) -> float:
-    mean, log_var = forward(member, features, training_mode=False, clamp=clamp)
+    mean, log_var = forward(member, features, clamp)
     return float(np.mean(nll_loss(mean, log_var, targets)))
 
 
@@ -306,27 +254,18 @@ def train_member(
 
     clamp = hyper.log_variance_clamp
     rng = _rng(member.rng_seed, 1)
-    params = {
-        "w1": member.w1.copy(),
-        "b1": member.b1.copy(),
-        "w2": member.w2.copy(),
-        "b2": member.b2.copy(),
-    }
+    # The parameters under training, updated in place at every step. The
+    # network core reads them as attributes, as it reads a Member.
+    state = SimpleNamespace(
+        w1=member.w1.copy(), b1=member.b1.copy(), w2=member.w2.copy(), b2=member.b2.copy()
+    )
+    params = vars(state)
     moment1 = {k: np.zeros_like(v) for k, v in params.items()}
     moment2 = {k: np.zeros_like(v) for k, v in params.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    def current() -> Member:
-        return Member(
-            w1=params["w1"].copy(),
-            b1=params["b1"].copy(),
-            w2=params["w2"].copy(),
-            b2=params["b2"].copy(),
-            rng_seed=member.rng_seed,
-        )
-
-    best = current()
+    best = member
     best_val = _eval_nll(best, x_val, y_val, clamp)
     best_epoch = 0
     log: list[tuple[int, float]] = []
@@ -336,12 +275,11 @@ def train_member(
         order = rng.permutation(x_train.shape[0])
         for start in range(0, x_train.shape[0], hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            snapshot = current()
             mask = None
             if hyper.dropout_rate > 0.0:
                 mask = (rng.random((idx.size, hyper.hidden_size)) < keep) / keep
             loss, grads = loss_and_gradients(
-                snapshot, x_train[idx], y_train[idx], clamp, dropout_mask=mask
+                state, x_train[idx], y_train[idx], clamp, dropout_mask=mask
             )
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -358,7 +296,7 @@ def train_member(
                 moment2[key] = beta2 * moment2[key] + (1.0 - beta2) * grad**2
                 params[key] -= scale * moment1[key] / (np.sqrt(moment2[key]) + eps)
 
-        val_nll = _eval_nll(current(), x_val, y_val, clamp)
+        val_nll = _eval_nll(state, x_val, y_val, clamp)
         if not np.isfinite(val_nll):
             raise TrainingError(
                 f"non-finite validation loss at epoch {epoch} (seed {member.rng_seed})"
@@ -366,7 +304,9 @@ def train_member(
         log.append((epoch, val_nll))
         if val_nll < best_val:
             best_val = val_nll
-            best = current()
+            best = Member(
+                **{k: v.copy() for k, v in params.items()}, rng_seed=member.rng_seed
+            )
             best_epoch = epoch
         if epoch - best_epoch >= hyper.patience_epochs:
             break
@@ -431,8 +371,7 @@ class Ensemble:
     def __post_init__(self) -> None:
         if len(self.members) < 2:
             raise ValueError("an ensemble needs at least 2 members")
-        layouts = {m.layout for m in self.members}
-        if len(layouts) != 1:
+        if len({m.w1.shape for m in self.members}) != 1:
             raise ValueError("members must share one layout")
         seeds = [m.rng_seed for m in self.members]
         if len(set(seeds)) != len(seeds):
@@ -477,13 +416,11 @@ def train_ensemble(
     targets: MetricSeries,
     hyper: EnsembleHyper,
     base_seed: int,
-    parallel: bool = False,
 ) -> Ensemble:
     """Train all members on the identical aligned split; seeds base_seed+m.
 
     Diversity comes purely from member initialisation: every member sees
-    the full training split (no bagging). Member training is independent,
-    so the parallel path must produce bit-identical results.
+    the full training split (no bagging).
     """
     features, y, ids = dataset.align(targets)
     if features.shape[0] == 0:
@@ -495,19 +432,16 @@ def train_ensemble(
     )
     normaliser = Normaliser.fit(features[train_slice])
     normalised = normaliser.transform(features)
-    layout = MemberLayout(features.shape[1], hyper.hidden_size)
-
-    def build(m: int) -> tuple[Member, list[tuple[int, float]]]:
-        seed = base_seed + m
-        return train_member(
-            init_member(layout, seed), normalised, y, hyper, with_log=True
+    results = [
+        train_member(
+            init_member(features.shape[1], hyper.hidden_size, base_seed + m),
+            normalised,
+            y,
+            hyper,
+            with_log=True,
         )
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=hyper.member_count) as pool:
-            results = list(pool.map(build, range(hyper.member_count)))
-    else:
-        results = [build(m) for m in range(hyper.member_count)]
+        for m in range(hyper.member_count)
+    ]
 
     return Ensemble(
         members=tuple(member for member, _ in results),
@@ -523,9 +457,7 @@ def _member_outputs(ensemble: Ensemble, features: np.ndarray) -> tuple[np.ndarra
     normalised = np.atleast_2d(ensemble.normaliser.transform(features))
     means, variances = [], []
     for member in ensemble.members:
-        mean, log_var = forward(
-            member, normalised, training_mode=False, clamp=ensemble.log_variance_clamp
-        )
+        mean, log_var = forward(member, normalised, ensemble.log_variance_clamp)
         means.append(mean)
         variances.append(np.exp(log_var))
     return np.stack(means), np.stack(variances)

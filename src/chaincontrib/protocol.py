@@ -188,10 +188,10 @@ def decode_message(data: bytes) -> Message:
         hyper_raw = _require(frame, "hyper")
         if not isinstance(hyper_raw, dict):
             raise DecodeError("malformed", "hyper must be an object")
-        hyper = EnsembleHyper.from_dict(
-            {k: v for k, v in hyper_raw.items() if k in _HYPER_FIELDS}
-        )
         try:
+            hyper = EnsembleHyper.from_dict(
+                {k: v for k, v in hyper_raw.items() if k in _HYPER_FIELDS}
+            )
             metric = MetricSeries(
                 part_ids=tuple(str(p) for p in _require(frame, "part_ids")),
                 values=np.asarray(_require(frame, "values"), dtype=float),
@@ -452,10 +452,10 @@ class InProcessTransport:
         self.transcript: list[TranscriptEntry] = []
 
     def request(self, call: CallForUncertainty) -> list[ActorOutcome]:
+        frame = encode_message(call)
         outcomes = []
         for actor in self.actors:
             peer = actor.dataset.actor_id
-            frame = encode_message(call)
             self.transcript.append(TranscriptEntry("sent", peer, frame))
             reply_frame = actor.respond(frame)
             self.transcript.append(TranscriptEntry("received", peer, reply_frame))
@@ -481,16 +481,13 @@ class SocketTransport:
             self.transcript.append(TranscriptEntry(direction, peer, data))
 
     def _query_one(
-        self, endpoint: tuple[str, int], call: CallForUncertainty
+        self, endpoint: tuple[str, int], frame: bytes, deadline: float
     ) -> ActorOutcome:
         host, port = endpoint
         peer = f"{host}:{port}"
-        frame = encode_message(call)
         try:
-            with socket.create_connection(
-                (host, port), timeout=call.response_deadline
-            ) as conn:
-                conn.settimeout(call.response_deadline)
+            with socket.create_connection((host, port), timeout=deadline) as conn:
+                conn.settimeout(deadline)
                 self._record("sent", peer, frame)
                 conn.sendall(frame)
                 with conn.makefile("rb") as stream:
@@ -507,11 +504,12 @@ class SocketTransport:
         return ActorOutcome(peer=peer, message=reply)
 
     def request(self, call: CallForUncertainty) -> list[ActorOutcome]:
+        frame = encode_message(call)
+        deadline = call.response_deadline
         with ThreadPoolExecutor(max_workers=len(self.endpoints)) as pool:
-            outcomes = list(
-                pool.map(lambda ep: self._query_one(ep, call), self.endpoints)
+            return list(
+                pool.map(lambda ep: self._query_one(ep, frame, deadline), self.endpoints)
             )
-        return outcomes
 
 
 class ActorServer:
@@ -567,7 +565,12 @@ class ActorServer:
                 continue
             except OSError:
                 break
-            self._serve_connection(conn)
+            try:
+                self._serve_connection(conn)
+            except Exception:  # one bad connection must not stop the actor
+                logger.exception(
+                    "actor %s dropping a connection", self.actor.dataset.actor_id
+                )
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -618,11 +621,9 @@ def run_campaign(
         "timeouts": [],
     }
     for outcome in sorted(outcomes, key=lambda o: o.peer):
+        if outcome.message is not None and outcome.message.call_id != call.call_id:
+            raise CampaignError(f"reply from {outcome.peer} answers a different call")
         if isinstance(outcome.message, UncertaintyResponse):
-            if outcome.message.call_id != call.call_id:
-                raise CampaignError(
-                    f"response from {outcome.peer} answers a different call"
-                )
             responses.append(outcome.message)
         elif isinstance(outcome.message, Decline):
             log["declines"].append(outcome.message.actor_id)

@@ -35,7 +35,6 @@ from chaincontrib.ensemble import (
     Ensemble,
     EnsembleHyper,
     Member,
-    MemberLayout,
     Normaliser,
     init_member,
     loss_and_gradients,
@@ -110,9 +109,7 @@ def test_criterion_1_analytic_gradients_match_finite_differences() -> None:
     for _ in range(50):
         n_in = int(rng.integers(2, 7))
         n_hidden = int(rng.integers(4, 13))
-        member = init_member(
-            MemberLayout(n_in, n_hidden), seed=int(rng.integers(0, 2**31))
-        )
+        member = init_member(n_in, n_hidden, seed=int(rng.integers(0, 2**31)))
         batch, targets = _kink_free_batch(member, rng, n_in)
         _, grads = loss_and_gradients(member, batch, targets)
         analytic = np.concatenate([grads[name].ravel() for name in names])

@@ -222,6 +222,36 @@ def test_kernel_deterministic_per_seed() -> None:
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("d", [4, 7, 17])
+def test_kernel_sampled_coalitions_merge_like_reference(d: int) -> None:
+    # Reference: the same draws merged one by one in a dict, in sorted order.
+    fn = random_network(d, seed=d)
+    rng = np.random.default_rng(d + 1)
+    instance = rng.normal(size=d)
+    background = rng.normal(size=(20, d))
+    budget = min(64, 2**d - 3)  # short of full enumeration, so sampled
+    draws = np.random.default_rng(5)
+    mass = np.array([(d - 1) / (s * (d - s)) for s in range(1, d)])
+    counts: dict[tuple[bool, ...], int] = {}
+    for s in draws.choice(np.arange(1, d), size=budget, p=mass / mass.sum()):
+        mask = np.zeros(d, dtype=bool)
+        mask[draws.choice(d, size=int(s), replace=False)] = True
+        key = tuple(mask.tolist())
+        counts[key] = counts.get(key, 0) + 1
+    masks = np.array(sorted(counts), dtype=bool)
+    weights = np.array([counts[tuple(m.tolist())] for m in masks], dtype=float)
+    mean = background.mean(axis=0)
+    expected = _solve_attribution(
+        masks,
+        weights,
+        fn(np.where(masks, instance, mean)),
+        float(fn(mean[None, :])[0]),
+        float(fn(instance[None, :])[0]),
+    )
+    got = kernel_shap(fn, instance, background, sample_count=budget, seed=5)
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_kernel_single_feature_short_circuit() -> None:
     def fn(rows: np.ndarray) -> np.ndarray:
         return np.atleast_2d(rows)[:, 0] ** 2

@@ -98,7 +98,7 @@ def test_hyper_overrides_reach_parsed_config(tmp_path) -> None:
     assert config.hyper.member_count == 2
     assert config.hyper.learning_rate == pytest.approx(0.01)
     # Untouched fields keep their defaults.
-    assert config.hyper.activation == "relu"
+    assert config.hyper.validation_fraction == pytest.approx(0.2)
 
 
 def test_cli_flags_override_config(tmp_path) -> None:

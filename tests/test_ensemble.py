@@ -12,7 +12,6 @@ from chaincontrib.ensemble import (
     Ensemble,
     EnsembleHyper,
     Member,
-    MemberLayout,
     Normaliser,
     PredictiveSummary,
     TrainingError,
@@ -79,8 +78,6 @@ class TestHyper:
         with pytest.raises(ValueError):
             EnsembleHyper(log_variance_clamp=(5.0, 5.0))
         with pytest.raises(ValueError):
-            EnsembleHyper(activation="tanh")
-        with pytest.raises(ValueError):
             EnsembleHyper(validation_fraction=1.0)
 
     def test_dict_round_trip_rejects_unknown_fields(self):
@@ -92,23 +89,27 @@ class TestHyper:
 
 class TestInitMember:
     def test_same_seed_identical(self):
-        layout = MemberLayout(4, 6)
-        a = init_member(layout, seed=42)
-        b = init_member(layout, seed=42)
+        a = init_member(4, 6, seed=42)
+        b = init_member(4, 6, seed=42)
         np.testing.assert_array_equal(a.parameter_vector(), b.parameter_vector())
 
     def test_different_seeds_differ(self):
-        layout = MemberLayout(4, 6)
-        a = init_member(layout, seed=1)
-        b = init_member(layout, seed=2)
+        a = init_member(4, 6, seed=1)
+        b = init_member(4, 6, seed=2)
         assert np.any(a.parameter_vector() != b.parameter_vector())
 
     def test_shapes(self):
-        member = init_member(MemberLayout(8, 50), seed=0)
+        member = init_member(8, 50, seed=0)
         assert member.w1.shape == (8, 50)
         assert member.b1.shape == (50,)
         assert member.w2.shape == (50, 2)
         assert member.b2.shape == (2,)
+
+    def test_sizes_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            init_member(0, 6, seed=0)
+        with pytest.raises(ValueError, match="positive"):
+            init_member(4, 0, seed=0)
 
     def test_two_output_heads_enforced(self):
         with pytest.raises(ValueError, match="two outputs"):
@@ -124,55 +125,40 @@ class TestInitMember:
 class TestForward:
     def test_zero_parameters_give_zero_outputs(self):
         member = constant_member(0.0, 0.0)
-        for x in (np.zeros(3), np.ones(3), np.array([-4.0, 2.0, 7.0])):
-            mu, log_var = forward(member, x)
-            assert mu == 0.0 and log_var == 0.0
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [-4.0, 2.0, 7.0]])
+        mu, log_var = forward(member, x)
+        np.testing.assert_array_equal(mu, 0.0)
+        np.testing.assert_array_equal(log_var, 0.0)
 
     def test_evaluation_mode_deterministic(self):
-        member = init_member(MemberLayout(3, 5), seed=7)
-        x = np.array([0.3, -1.2, 0.8])
-        assert forward(member, x) == forward(member, x)
+        member = init_member(3, 5, seed=7)
+        x = np.array([[0.3, -1.2, 0.8]])
+        np.testing.assert_array_equal(forward(member, x), forward(member, x))
 
     def test_log_variance_clamped(self):
         member = constant_member(0.0, -50.0)
-        _, log_var = forward(member, np.zeros(3), clamp=(-10.0, 10.0))
-        assert log_var == -10.0
+        _, log_var = forward(member, np.zeros((1, 3)), clamp=(-10.0, 10.0))
+        assert log_var[0] == -10.0
         member_hi = constant_member(0.0, 50.0)
-        _, log_var_hi = forward(member_hi, np.zeros(3), clamp=(-10.0, 10.0))
-        assert log_var_hi == 10.0
+        _, log_var_hi = forward(member_hi, np.zeros((1, 3)), clamp=(-10.0, 10.0))
+        assert log_var_hi[0] == 10.0
 
     def test_arity_mismatch_rejected(self):
-        member = init_member(MemberLayout(3, 5), seed=0)
+        member = init_member(3, 5, seed=0)
         with pytest.raises(ValueError, match="arity"):
-            forward(member, np.zeros(4))
+            forward(member, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="arity"):
+            forward(member, np.zeros(3))  # a single row must come as a batch
 
     def test_batch_matches_per_row(self):
         # Bitwise equality across batch shapes is not promised (the matrix
         # product may take a different kernel), only numerical agreement.
-        member = init_member(MemberLayout(3, 5), seed=1)
+        member = init_member(3, 5, seed=1)
         batch = np.random.default_rng(0).normal(size=(6, 3))
         mus, lvs = forward(member, batch)
         for i in range(6):
-            mu, lv = forward(member, batch[i])
-            np.testing.assert_allclose([mu, lv], [mus[i], lvs[i]], rtol=1e-12)
-
-    def test_dropout_only_in_training_mode(self):
-        member = init_member(MemberLayout(3, 40), seed=3)
-        x = np.ones(3)
-        eval_out = forward(member, x, dropout_rate=0.5)
-        again = forward(member, x, dropout_rate=0.5)
-        assert eval_out == again
-        rng = np.random.default_rng(0)
-        trained = [
-            forward(member, x, training_mode=True, dropout_rate=0.5, rng=rng)
-            for _ in range(4)
-        ]
-        assert len({mu for mu, _ in trained}) > 1
-
-    def test_training_dropout_requires_rng(self):
-        member = init_member(MemberLayout(3, 5), seed=0)
-        with pytest.raises(ValueError, match="rng"):
-            forward(member, np.zeros(3), training_mode=True, dropout_rate=0.5)
+            mu, lv = forward(member, batch[i : i + 1])
+            np.testing.assert_allclose([mu[0], lv[0]], [mus[i], lvs[i]], rtol=1e-12)
 
 
 class TestNllLoss:
@@ -222,7 +208,7 @@ def gradcheck_case(seed: int, clamp=(-10.0, 10.0)):
     """Member + batch whose pre-activations stay clear of kinks and clamps."""
     rng = np.random.default_rng(seed)
     for attempt in range(50):
-        member = init_member(MemberLayout(3, 4), seed=int(rng.integers(1 << 30)))
+        member = init_member(3, 4, seed=int(rng.integers(1 << 30)))
         x = rng.normal(size=(5, 3))
         y = rng.normal(size=5)
         pre = x @ member.w1 + member.b1
@@ -278,7 +264,7 @@ def constant_target_data(seed=0, rows=200, c=2.0):
 class TestTrainMember:
     def test_constant_target_reaches_analytic_optimum(self):
         x, y = constant_target_data()
-        member = init_member(MemberLayout(3, 8), seed=5)
+        member = init_member(3, 8, seed=5)
         trained = train_member(member, x, y, SMALL_HYPER)
         val_rows = x[-40:]
         mu, _ = forward(trained, val_rows)
@@ -286,7 +272,7 @@ class TestTrainMember:
 
     def test_no_improvement_stops_after_patience(self):
         x, y = constant_target_data()
-        member = init_member(MemberLayout(3, 8), seed=5)
+        member = init_member(3, 8, seed=5)
         hyper = EnsembleHyper(
             member_count=2,
             hidden_size=8,
@@ -306,7 +292,7 @@ class TestTrainMember:
 
     def test_returns_best_epoch_not_last(self):
         x, y = constant_target_data()
-        member = init_member(MemberLayout(3, 8), seed=5)
+        member = init_member(3, 8, seed=5)
         hyper = EnsembleHyper(
             member_count=2,
             hidden_size=8,
@@ -335,13 +321,13 @@ class TestTrainMember:
             patience_epochs=10,
             max_epochs=40,
         )
-        a = train_member(init_member(MemberLayout(3, 8), 5), x, y, hyper)
-        b = train_member(init_member(MemberLayout(3, 8), 5), x, y, hyper)
+        a = train_member(init_member(3, 8, 5), x, y, hyper)
+        b = train_member(init_member(3, 8, 5), x, y, hyper)
         np.testing.assert_array_equal(a.parameter_vector(), b.parameter_vector())
 
     def test_too_few_rows_rejected(self):
         x, y = constant_target_data(rows=30)
-        member = init_member(MemberLayout(3, 8), seed=0)
+        member = init_member(3, 8, seed=0)
         with pytest.raises(ValueError, match="batch_size"):
             train_member(member, x, y, SMALL_HYPER)
 
@@ -349,7 +335,7 @@ class TestTrainMember:
         x, y = constant_target_data()
         x = x.copy()
         x[0, 0] = 1e160  # poison one training row to overflow the loss
-        member = init_member(MemberLayout(3, 8), seed=5)
+        member = init_member(3, 8, seed=5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="epoch"):
                 train_member(member, x, y, SMALL_HYPER)
@@ -389,22 +375,6 @@ class TestTrainEnsemble:
                 clamp=ensemble.log_variance_clamp,
             )
             assert np.all(np.abs(mu - 2.0) < 0.05)
-
-    def test_parallel_equals_sequential(self):
-        dataset, metric = make_actor_data()
-        hyper = EnsembleHyper(
-            member_count=3,
-            hidden_size=8,
-            dropout_rate=0.5,
-            batch_size=16,
-            patience_epochs=10,
-            max_epochs=30,
-        )
-        seq = train_ensemble(dataset, metric, hyper, base_seed=7, parallel=False)
-        par = train_ensemble(dataset, metric, hyper, base_seed=7, parallel=True)
-        for a, b in zip(seq.members, par.members):
-            np.testing.assert_array_equal(a.parameter_vector(), b.parameter_vector())
-        assert seq.training_log == par.training_log
 
     def test_empty_join_rejected(self):
         dataset, _ = make_actor_data()

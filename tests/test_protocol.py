@@ -19,6 +19,7 @@ from chaincontrib.dataset import (
 )
 from chaincontrib.ensemble import EnsembleHyper
 from chaincontrib.protocol import (
+    ActorOutcome,
     ActorServer,
     CallForUncertainty,
     CampaignError,
@@ -78,6 +79,16 @@ def example_call(metric=None, deadline=30.0) -> CallForUncertainty:
         hyper=FAST_HYPER,
         response_deadline=deadline,
     )
+
+
+# Hyper fields that fail validation in three different ways.
+BAD_HYPER = [{"member_count": 1}, {"log_variance_clamp": 5}, {"max_epochs": "x"}]
+
+
+def call_frame_with_hyper(**hyper) -> bytes:
+    raw = json.loads(encode_message(example_call()).decode())
+    raw["hyper"].update(hyper)
+    return json.dumps(raw).encode() + b"\n"
 
 
 class TestMetricTransform:
@@ -213,6 +224,17 @@ class TestCodec:
         with pytest.raises(DecodeError) as err:
             decode_message(frame)
         assert err.value.reason == "malformed"
+
+    @pytest.mark.parametrize("hyper", BAD_HYPER, ids=lambda h: next(iter(h)))
+    def test_invalid_hyper_is_malformed(self, hyper):
+        with pytest.raises(DecodeError) as err:
+            decode_message(call_frame_with_hyper(**hyper))
+        assert err.value.reason == "malformed"
+
+    def test_hyper_from_older_peer_decodes(self):
+        # Frames from peers that still send the fixed activation decode.
+        frame = call_frame_with_hyper(activation="relu")
+        assert decode_message(frame) == example_call()
 
     def test_metric_floats_survive_exactly(self):
         values = np.array([0.1, 1.0 / 3.0, 7.000000000000001e-12])
@@ -478,6 +500,19 @@ class TestInProcessCampaign:
         assert rank_both.uncertainty_of(actor) == rank_alone.uncertainty_of(actor)
         assert rank_both.noise_floor == rank_alone.noise_floor
 
+    @pytest.mark.parametrize(
+        "reply",
+        [Decline("alpha", "call-999999"), UncertaintyResponse("alpha", "call-999999", 1.0)],
+        ids=["decline", "response"],
+    )
+    def test_reply_to_another_call_rejected(self, reply):
+        class StaleTransport:
+            def request(self, call):
+                return [ActorOutcome(peer="alpha", message=reply)]
+
+        with pytest.raises(CampaignError, match="different call"):
+            run_campaign(StaleTransport(), small_metric(), None, FAST_HYPER, base_seed=1)
+
     def test_transcript_privacy_surface(self):
         datasets, metric = synth_actors(seed=1, weights=(3.0, 1.0))
         actors = [LocalActor(dataset=d, base_seed=2) for d in datasets]
@@ -654,3 +689,29 @@ class TestSocketTransport:
                 transport, metric, None, FAST_HYPER, base_seed=6, noise_feature_count=2
             )
             assert datasets[0].actor_id in ranking.actor_order()
+
+    def ask(self, server, frame: bytes) -> bytes:
+        with socket.create_connection(server.address, timeout=5.0) as conn:
+            conn.sendall(frame)
+            with conn.makefile("rb") as stream:
+                return stream.readline()
+
+    @pytest.mark.parametrize("hyper", BAD_HYPER, ids=lambda h: next(iter(h)))
+    def test_server_survives_invalid_hyper(self, hyper):
+        datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
+        with ActorServer(datasets[0], base_seed=6) as server:
+            assert self.ask(server, call_frame_with_hyper(**hyper)) == b""
+            # A valid call is still answered: no overlap, so a decline.
+            reply = decode_message(self.ask(server, encode_message(example_call())))
+            assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+
+    def test_server_survives_failure_inside_a_call(self):
+        datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
+        # Decodes, but a fractional layer size fails once training starts.
+        call = CallForUncertainty("call-000001", metric, FAST_HYPER, 30.0)
+        raw = json.loads(encode_message(call).decode())
+        raw["hyper"]["hidden_size"] = 2.5
+        with ActorServer(datasets[0], base_seed=6) as server:
+            assert self.ask(server, json.dumps(raw).encode() + b"\n") == b""
+            reply = decode_message(self.ask(server, encode_message(example_call())))
+            assert reply == Decline(datasets[0].actor_id, example_call().call_id)
