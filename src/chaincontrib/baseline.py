@@ -399,6 +399,9 @@ def aggregate_company(
     return actors
 
 
+_SUMMARY_COLUMNS = ["actor_id", "mean_abs_attribution"]
+
+
 def write_shap_csvs(report: ShapReport, out_dir: str | Path) -> tuple[Path, Path]:
     """One row per (instance, feature, attribution), plus the actor summary."""
     out_dir = Path(out_dir)
@@ -415,7 +418,23 @@ def write_shap_csvs(report: ShapReport, out_dir: str | Path) -> tuple[Path, Path
     aggregated = aggregate_company(report)
     with summary_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["actor_id", "mean_abs_attribution"])
+        writer.writerow(_SUMMARY_COLUMNS)
         for actor_id in sorted(aggregated):
             writer.writerow([actor_id, repr(aggregated[actor_id])])
     return values_path, summary_path
+
+
+def read_shap_summary(path: str | Path) -> dict[str, float]:
+    """Read back the actor summary written by :func:`write_shap_csvs`."""
+    scores: dict[str, float] = {}
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != _SUMMARY_COLUMNS:
+            raise ValueError(
+                f"{path} is not an attribution summary (columns {reader.fieldnames})"
+            )
+        for row in reader:
+            scores[row["actor_id"]] = float(row["mean_abs_attribution"])
+    if not scores:
+        raise ValueError(f"{path} contains no actors")
+    return scores

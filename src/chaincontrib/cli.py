@@ -1,9 +1,17 @@
 """Command-line orchestration: ingest, synthesise, run both estimation
 routes, and compare them.
 
-One JSON config file drives every command; unknown keys anywhere in it
-are rejected before any computation starts, and a handful of flags
-(--seed, --transport, --out) override the corresponding config values.
+One JSON config file drives every command. Each config section is built
+straight from its dataclass, whose fields are the allowed keys and whose
+defaults are the only defaults; unknown keys and malformed values
+anywhere are rejected before any computation starts. The --seed,
+--transport and --out flags replace the matching top-level values
+before the config is parsed, so ``synth`` follows --seed too.
+
+Both routes see the same set-up: the campaign rescales the metric to
+zero mean and unit spread with an affine map the actors never see, and
+``run-central`` pools the same noise actor that the campaign ranks as
+its floor, so ``compare`` can follow ``run-central`` directly.
 
 Exit codes: 0 success, 2 config or validation failure, 3 campaign
 failure (every actor declined, unreachable endpoints, wire errors).
@@ -12,20 +20,23 @@ failure (every actor declined, unreachable endpoints, wire errors).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
-import math
 import subprocess
 import sys
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from chaincontrib.baseline import explain_central, train_central, write_shap_csvs
+from chaincontrib.baseline import (
+    explain_central,
+    read_shap_summary,
+    train_central,
+    write_shap_csvs,
+)
 from chaincontrib.dataset import (
     NOISE_ACTOR_ID,
     MetricSeries,
@@ -44,6 +55,8 @@ from chaincontrib.dataset import (
 from chaincontrib.ensemble import EnsembleHyper
 from chaincontrib.evaluation import build_comparison, emit_report
 from chaincontrib.protocol import (
+    DEFAULT_MIN_OVERLAP,
+    DEFAULT_NOISE_FEATURES,
     ActorServer,
     CampaignError,
     ContributionRanking,
@@ -51,7 +64,6 @@ from chaincontrib.protocol import (
     InProcessTransport,
     LocalActor,
     MetricTransform,
-    RankEntry,
     SocketTransport,
     derive_seed,
     run_campaign,
@@ -62,12 +74,27 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def _check_keys(section: str, raw: Mapping, allowed: set[str]) -> None:
+def _section(cls, name: str, raw, convert: Mapping[str, Callable] | None = None):
+    """Build the dataclass ``cls`` from one config section.
+
+    The dataclass is the schema: its fields are the allowed keys and its
+    defaults the only defaults, so only the keys present are passed on,
+    each through its ``convert`` entry if it has one. Any failure to
+    build the section becomes a ConfigError; a nested section's own
+    ConfigError passes through as it is.
+    """
     if not isinstance(raw, Mapping):
-        raise ConfigError(f"config section {section!r} must be an object")
-    unknown = sorted(set(raw) - allowed)
+        raise ConfigError(f"config section {name!r} must be an object")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ConfigError(f"unknown keys in {section}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown keys in {name}: {', '.join(unknown)}")
+    convert = convert or {}
+    try:
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in raw.items()})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{name} section invalid: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -82,58 +109,34 @@ class DataConfig:
     actor_dir: Path | None = None
     metric_csv: Path | None = None
 
-    _KEYS = {
-        "input_csv",
-        "id_column",
-        "actor_schema",
-        "shared_columns",
-        "measurement_columns",
-        "setpoints",
-        "column_missing_threshold",
-        "actor_dir",
-        "metric_csv",
-    }
 
-    @classmethod
-    def from_raw(cls, raw: Mapping) -> "DataConfig":
-        _check_keys("data", raw, cls._KEYS)
-        return cls(
-            input_csv=Path(raw["input_csv"]) if "input_csv" in raw else None,
-            id_column=str(raw.get("id_column", "part_id")),
-            actor_schema={str(k): str(v) for k, v in raw.get("actor_schema", {}).items()},
-            shared_columns=tuple(raw.get("shared_columns", ())),
-            measurement_columns=tuple(raw.get("measurement_columns", ())),
-            setpoints=(
-                {str(k): float(v) for k, v in raw["setpoints"].items()}
-                if raw.get("setpoints") is not None
-                else None
-            ),
-            column_missing_threshold=float(raw.get("column_missing_threshold", 0.5)),
-            actor_dir=Path(raw["actor_dir"]) if "actor_dir" in raw else None,
-            metric_csv=Path(raw["metric_csv"]) if "metric_csv" in raw else None,
-        )
+_DATA_CONVERT = {
+    "input_csv": Path,
+    "id_column": str,
+    "actor_schema": lambda m: {str(k): str(v) for k, v in m.items()},
+    "shared_columns": tuple,
+    "measurement_columns": tuple,
+    "setpoints": lambda m: None if m is None else {str(k): float(v) for k, v in m.items()},
+    "column_missing_threshold": float,
+    "actor_dir": Path,
+    "metric_csv": Path,
+}
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
     deadline: float = 120.0
-    noise_feature_count: int = 5
+    noise_feature_count: int = DEFAULT_NOISE_FEATURES
     slack: float = 1.0
-    min_overlap: int = 50
-    decliners: tuple[str, ...] = ()
+    min_overlap: int = DEFAULT_MIN_OVERLAP
 
-    _KEYS = {"deadline", "noise_feature_count", "slack", "min_overlap", "decliners"}
 
-    @classmethod
-    def from_raw(cls, raw: Mapping) -> "CampaignConfig":
-        _check_keys("campaign", raw, cls._KEYS)
-        return cls(
-            deadline=float(raw.get("deadline", 120.0)),
-            noise_feature_count=int(raw.get("noise_feature_count", 5)),
-            slack=float(raw.get("slack", 1.0)),
-            min_overlap=int(raw.get("min_overlap", 50)),
-            decliners=tuple(raw.get("decliners", ())),
-        )
+_CAMPAIGN_CONVERT = {
+    "deadline": float,
+    "noise_feature_count": int,
+    "slack": float,
+    "min_overlap": int,
+}
 
 
 @dataclass(frozen=True)
@@ -141,20 +144,13 @@ class CentralConfig:
     sample_count: int = 2048
     background_size: int = 100
     max_instances: int | None = None
-    include_noise: bool = False
 
-    _KEYS = {"sample_count", "background_size", "max_instances", "include_noise"}
 
-    @classmethod
-    def from_raw(cls, raw: Mapping) -> "CentralConfig":
-        _check_keys("central", raw, cls._KEYS)
-        max_instances = raw.get("max_instances")
-        return cls(
-            sample_count=int(raw.get("sample_count", 2048)),
-            background_size=int(raw.get("background_size", 100)),
-            max_instances=int(max_instances) if max_instances is not None else None,
-            include_noise=bool(raw.get("include_noise", False)),
-        )
+_CENTRAL_CONVERT = {
+    "sample_count": int,
+    "background_size": int,
+    "max_instances": lambda n: None if n is None else int(n),
+}
 
 
 @dataclass(frozen=True)
@@ -162,15 +158,8 @@ class CompareConfig:
     ranking: Path | None = None
     shap_summary: Path | None = None
 
-    _KEYS = {"ranking", "shap_summary"}
 
-    @classmethod
-    def from_raw(cls, raw: Mapping) -> "CompareConfig":
-        _check_keys("compare", raw, cls._KEYS)
-        return cls(
-            ranking=Path(raw["ranking"]) if "ranking" in raw else None,
-            shap_summary=Path(raw["shap_summary"]) if "shap_summary" in raw else None,
-        )
+_COMPARE_CONVERT = {"ranking": Path, "shap_summary": Path}
 
 
 TRANSPORTS = ("in-process", "sockets")
@@ -186,8 +175,6 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     synth: SyntheticSpec | None = None
     hyper: EnsembleHyper = field(default_factory=EnsembleHyper)
-    transform: MetricTransform | None = None
-    standardise: bool = True
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     central: CentralConfig = field(default_factory=CentralConfig)
     compare: CompareConfig = field(default_factory=CompareConfig)
@@ -206,119 +193,55 @@ class RunConfig:
     def metric_path(self) -> Path:
         return self.data.metric_csv or self.actor_dir / "metric.csv"
 
-    def resolve_transform(self, metric: MetricSeries) -> MetricTransform | None:
-        """Explicit scale/offset wins; otherwise standardise to unit spread.
 
-        Standardising by default keeps the reported uncertainties on a
-        comparable scale regardless of the metric's units, which the
-        small per-actor networks need to train reliably.
-        """
-        if self.transform is not None:
-            return self.transform
-        if not self.standardise:
-            return None
-        spread = float(np.std(metric.values))
-        center = float(np.mean(metric.values))
-        if spread == 0.0:
-            raise ConfigError("metric is constant; nothing to estimate")
-        return MetricTransform(scale=1.0 / spread, offset=-center / spread)
+def _unit_spread_transform(metric: MetricSeries) -> MetricTransform:
+    """The affine map that gives the metric zero mean and unit spread.
 
-
-_TOP_KEYS = {
-    "seed",
-    "out",
-    "transport",
-    "data",
-    "synth",
-    "hyper",
-    "transform",
-    "standardise",
-    "campaign",
-    "central",
-    "compare",
-}
-
-_SYNTH_KEYS = {
-    "actor_count",
-    "features_per_actor",
-    "signal_weights",
-    "noise_std",
-    "row_count",
-    "cross_correlation",
-    "seed",
-}
+    Rescaling keeps the reported uncertainties on a comparable scale
+    regardless of the metric's units, which the small per-actor networks
+    need to train reliably; the actors never see the map itself.
+    """
+    spread = float(np.std(metric.values))
+    center = float(np.mean(metric.values))
+    if spread == 0.0:
+        raise ConfigError("metric is constant; nothing to estimate")
+    return MetricTransform(scale=1.0 / spread, offset=-center / spread)
 
 
 def parse_config(raw: Mapping, args: argparse.Namespace | None = None) -> RunConfig:
-    _check_keys("top level", raw, _TOP_KEYS)
+    """Validate a whole config; the --seed/--out/--transport flags win."""
+    if args is not None and isinstance(raw, Mapping):
+        flags = {k: getattr(args, k, None) for k in ("seed", "out", "transport")}
+        raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
 
-    synth = None
-    if "synth" in raw:
-        _check_keys("synth", raw["synth"], _SYNTH_KEYS)
-        synth_raw = dict(raw["synth"])
-        synth_raw.setdefault("seed", int(raw.get("seed", 0)))
-        if "signal_weights" in synth_raw:
-            synth_raw["signal_weights"] = tuple(
-                float(w) for w in synth_raw["signal_weights"]
-            )
-        try:
-            synth = SyntheticSpec(**synth_raw)
-        except TypeError as exc:  # missing required fields
-            raise ConfigError(f"synth section invalid: {exc}") from exc
+    def synth(section):
+        # The synthetic data follow the run's seed unless they set their own.
+        if isinstance(section, Mapping):
+            section = {"seed": int(raw.get("seed", RunConfig.seed)), **section}
+        return _section(SyntheticSpec, "synth", section)
 
-    hyper_raw = EnsembleHyper().to_dict()
-    if "hyper" in raw:
-        _check_keys("hyper", raw["hyper"], set(hyper_raw))
-        overrides = dict(raw["hyper"])
-        if "log_variance_clamp" in overrides:
-            overrides["log_variance_clamp"] = tuple(overrides["log_variance_clamp"])
-        hyper_raw.update(overrides)
-    hyper = EnsembleHyper.from_dict(hyper_raw)
-
-    transform = None
-    standardise = bool(raw.get("standardise", True))
-    if "transform" in raw:
-        _check_keys("transform", raw["transform"], {"scale", "offset"})
-        t = raw["transform"]
-        if "scale" not in t:
-            raise ConfigError("transform section needs a scale")
-        transform = MetricTransform(
-            scale=float(t["scale"]), offset=float(t.get("offset", 0.0))
-        )
-
-    config = RunConfig(
-        seed=int(raw.get("seed", 0)),
-        out=Path(raw.get("out", "runs/latest")),
-        transport=str(raw.get("transport", "in-process")),
-        data=DataConfig.from_raw(raw.get("data", {})),
-        synth=synth,
-        hyper=hyper,
-        transform=transform,
-        standardise=standardise,
-        campaign=CampaignConfig.from_raw(raw.get("campaign", {})),
-        central=CentralConfig.from_raw(raw.get("central", {})),
-        compare=CompareConfig.from_raw(raw.get("compare", {})),
+    return _section(
+        RunConfig,
+        "top level",
+        raw,
+        {
+            "seed": int,
+            "out": Path,
+            "transport": str,
+            "data": partial(_section, DataConfig, "data", convert=_DATA_CONVERT),
+            "synth": synth,
+            "hyper": partial(_section, EnsembleHyper, "hyper"),
+            "campaign": partial(
+                _section, CampaignConfig, "campaign", convert=_CAMPAIGN_CONVERT
+            ),
+            "central": partial(
+                _section, CentralConfig, "central", convert=_CENTRAL_CONVERT
+            ),
+            "compare": partial(
+                _section, CompareConfig, "compare", convert=_COMPARE_CONVERT
+            ),
+        },
     )
-
-    if args is not None:
-        replacements = {}
-        if getattr(args, "seed", None) is not None:
-            replacements["seed"] = args.seed
-        if getattr(args, "out", None) is not None:
-            replacements["out"] = Path(args.out)
-        if getattr(args, "transport", None) is not None:
-            replacements["transport"] = args.transport
-        if replacements:
-            config = dataclasses.replace(config, **replacements)
-    return config
-
-
-def load_config(path: str | Path) -> dict:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return raw
 
 
 # -------------------------------------------------------------------- commands
@@ -418,17 +341,13 @@ def cmd_ingest(config: RunConfig) -> int:
 
 def _parse_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not port.lstrip("-").isdigit():
-        raise ConfigError(f"--listen expects host:port, got {value!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ConfigError(f"--listen expects host:port with port 0-65535, got {value!r}")
     return host, int(port)
 
 
 def _spawn_actor(
-    actor_dir: Path,
-    actor_id: str,
-    seed: int,
-    min_overlap: int,
-    decline: bool,
+    actor_dir: Path, actor_id: str, seed: int, min_overlap: int
 ) -> tuple[subprocess.Popen, tuple[str, int]]:
     command = [
         sys.executable,
@@ -446,8 +365,6 @@ def _spawn_actor(
         "--min-overlap",
         str(min_overlap),
     ]
-    if decline:
-        command.append("--always-decline")
     proc = subprocess.Popen(command, stdout=subprocess.PIPE, text=True)
     line = proc.stdout.readline().strip()
     if not line.startswith("LISTENING "):
@@ -461,7 +378,7 @@ def _spawn_actor(
 def cmd_run_decentralised(config: RunConfig) -> int:
     datasets = load_actor_datasets(config.actor_dir)
     metric = MetricSeries.from_csv(config.metric_path)
-    transform = config.resolve_transform(metric)
+    transform = _unit_spread_transform(metric)
     out = config.out / "decentralised"
     out.mkdir(parents=True, exist_ok=True)
     cc = config.campaign
@@ -470,12 +387,7 @@ def cmd_run_decentralised(config: RunConfig) -> int:
     try:
         if config.transport == "in-process":
             actors = [
-                LocalActor(
-                    dataset=ds,
-                    base_seed=config.seed,
-                    min_overlap=cc.min_overlap,
-                    always_decline=ds.actor_id in cc.decliners,
-                )
+                LocalActor(dataset=ds, base_seed=config.seed, min_overlap=cc.min_overlap)
                 for ds in datasets
             ]
             transport = InProcessTransport(actors)
@@ -483,11 +395,7 @@ def cmd_run_decentralised(config: RunConfig) -> int:
             endpoints = []
             for ds in datasets:
                 proc, endpoint = _spawn_actor(
-                    config.actor_dir,
-                    ds.actor_id,
-                    config.seed,
-                    cc.min_overlap,
-                    ds.actor_id in cc.decliners,
+                    config.actor_dir, ds.actor_id, config.seed, cc.min_overlap
                 )
                 processes.append(proc)
                 endpoints.append(endpoint)
@@ -529,17 +437,16 @@ def cmd_run_decentralised(config: RunConfig) -> int:
 def cmd_run_central(config: RunConfig) -> int:
     datasets = load_actor_datasets(config.actor_dir)
     metric = MetricSeries.from_csv(config.metric_path)
-    if config.central.include_noise:
-        # Mirror the campaign's noise reference so both estimation routes
-        # cover the same actor set: same seed derivation, same shape.
-        datasets = list(datasets) + [
-            make_noise_actor(
-                row_count=len(metric),
-                feature_count=config.campaign.noise_feature_count,
-                part_ids=metric.part_ids,
-                seed=derive_seed(config.seed, NOISE_ACTOR_ID),
-            )
-        ]
+    # Mirror the campaign's noise reference so both estimation routes
+    # cover the same actor set: same seed derivation, same shape.
+    datasets.append(
+        make_noise_actor(
+            row_count=len(metric),
+            feature_count=config.campaign.noise_feature_count,
+            part_ids=metric.part_ids,
+            seed=derive_seed(config.seed, NOISE_ACTOR_ID),
+        )
+    )
     model = train_central(datasets, metric, config.hyper, seed=config.seed)
     report = explain_central(
         model,
@@ -559,55 +466,11 @@ def cmd_run_central(config: RunConfig) -> int:
     return 0
 
 
-def _load_ranking_csv(path: Path) -> ContributionRanking:
-    entries = []
-    flags = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["rank", "actor_id", "total_uncertainty", "below_noise_floor"]
-        if reader.fieldnames != expected:
-            raise ConfigError(f"{path} is not a ranking file (columns {reader.fieldnames})")
-        for row in reader:
-            entries.append(
-                RankEntry(
-                    actor_id=row["actor_id"],
-                    total_uncertainty=float(row["total_uncertainty"]),
-                    estimated_rank=int(row["rank"]),
-                )
-            )
-            flags.append((row["actor_id"], row["below_noise_floor"] == "true"))
-    if not entries:
-        raise ConfigError(f"{path} contains no ranked actors")
-    entries.sort(key=lambda e: e.estimated_rank)
-    by_actor = {e.actor_id: e.total_uncertainty for e in entries}
-    noise_floor = by_actor.get(NOISE_ACTOR_ID, math.nan)
-    return ContributionRanking(
-        entries=tuple(entries),
-        noise_floor=noise_floor,
-        below_floor_flags=tuple(flags),
-    )
-
-
-def _load_shap_summary(path: Path) -> dict[str, float]:
-    scores: dict[str, float] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["actor_id", "mean_abs_attribution"]:
-            raise ConfigError(
-                f"{path} is not an attribution summary (columns {reader.fieldnames})"
-            )
-        for row in reader:
-            scores[row["actor_id"]] = float(row["mean_abs_attribution"])
-    if not scores:
-        raise ConfigError(f"{path} contains no actors")
-    return scores
-
-
 def cmd_compare(config: RunConfig) -> int:
     ranking_path = config.compare.ranking or config.out / "decentralised" / "ranking.csv"
     summary_path = config.compare.shap_summary or config.out / "central" / "shap_summary.csv"
-    ranking = _load_ranking_csv(ranking_path)
-    shap_scores = _load_shap_summary(summary_path)
+    ranking = ContributionRanking.from_csv(ranking_path)
+    shap_scores = read_shap_summary(summary_path)
     report = build_comparison(ranking, shap_scores)
     out = config.out / "comparison"
     paths = emit_report(report, out)
@@ -633,14 +496,11 @@ def cmd_actor(args: argparse.Namespace) -> int:
         host=host,
         port=port,
         min_overlap=args.min_overlap,
-        always_decline=args.always_decline,
     )
-    server.start()
     bound_host, bound_port = server.address
     print(f"LISTENING {bound_host} {bound_port}", flush=True)
     try:
-        while True:
-            time.sleep(0.2)
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
@@ -692,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     actor.add_argument("--actor-id", required=True)
     actor.add_argument("--seed", type=int, required=True)
     actor.add_argument("--listen", required=True, help="host:port (port 0 = ephemeral)")
-    actor.add_argument("--min-overlap", type=int, default=50)
-    actor.add_argument("--always-decline", action="store_true")
+    actor.add_argument("--min-overlap", type=int, default=DEFAULT_MIN_OVERLAP)
     return parser
 
 
@@ -712,7 +571,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "actor":
             return cmd_actor(args)
-        config = parse_config(load_config(args.config), args)
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        config = parse_config(raw, args)
         return COMMANDS[args.command](config)
     except CampaignError as exc:
         print(f"campaign failed: {exc}", file=sys.stderr)

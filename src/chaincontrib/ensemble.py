@@ -25,6 +25,16 @@ class TrainingError(RuntimeError):
     """Training aborted, typically on a non-finite loss."""
 
 
+# Every integer hyperparameter and the least value it may take.
+_INTEGER_MINIMUMS = {
+    "member_count": 2,
+    "hidden_size": 1,
+    "batch_size": 1,
+    "patience_epochs": 1,
+    "max_epochs": 1,
+}
+
+
 @dataclass(frozen=True)
 class EnsembleHyper:
     """Training configuration shared by every member of an ensemble."""
@@ -42,18 +52,14 @@ class EnsembleHyper:
     def __post_init__(self) -> None:
         lo, hi = (float(v) for v in self.log_variance_clamp)
         object.__setattr__(self, "log_variance_clamp", (lo, hi))
-        if self.member_count < 2:
-            raise ValueError("member_count must be at least 2")
-        if self.hidden_size < 1:
-            raise ValueError("hidden_size must be positive")
+        for name, least in _INTEGER_MINIMUMS.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.patience_epochs < 1:
-            raise ValueError("patience_epochs must be at least 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be non-negative")
         if not 0.0 < self.validation_fraction < 1.0:

@@ -15,6 +15,7 @@ so transport independence is structural, not incidental.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -22,6 +23,7 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
@@ -313,6 +315,9 @@ class RankEntry:
     estimated_rank: int
 
 
+_RANKING_COLUMNS = ["rank", "actor_id", "total_uncertainty", "below_noise_floor"]
+
+
 @dataclass(frozen=True)
 class ContributionRanking:
     """Actors ordered by ascending uncertainty; rank 1 = highest contribution."""
@@ -337,14 +342,9 @@ class ContributionRanking:
         raise KeyError(actor_id)
 
     def to_csv(self, path) -> None:
-        import csv
-        from pathlib import Path
-
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["rank", "actor_id", "total_uncertainty", "below_noise_floor"]
-            )
+            writer.writerow(_RANKING_COLUMNS)
             for entry in self.entries:
                 writer.writerow(
                     [
@@ -354,6 +354,39 @@ class ContributionRanking:
                         str(self.flag_for(entry.actor_id)).lower(),
                     ]
                 )
+
+    @classmethod
+    def from_csv(cls, path) -> "ContributionRanking":
+        """Read back a file written by :meth:`to_csv`.
+
+        The noise floor is the noise actor's uncertainty, or NaN when the
+        file ranks no noise actor.
+        """
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != _RANKING_COLUMNS:
+                raise ValueError(
+                    f"{path} is not a ranking file (columns {reader.fieldnames})"
+                )
+            rows = sorted(reader, key=lambda row: int(row["rank"]))
+        if not rows:
+            raise ValueError(f"{path} contains no ranked actors")
+        entries = tuple(
+            RankEntry(
+                actor_id=row["actor_id"],
+                total_uncertainty=float(row["total_uncertainty"]),
+                estimated_rank=int(row["rank"]),
+            )
+            for row in rows
+        )
+        floor = [e.total_uncertainty for e in entries if e.actor_id == NOISE_ACTOR_ID]
+        return cls(
+            entries=entries,
+            noise_floor=floor[0] if floor else float("nan"),
+            below_floor_flags=tuple(
+                (row["actor_id"], row["below_noise_floor"] == "true") for row in rows
+            ),
+        )
 
 
 def rank_contributions(

@@ -22,6 +22,7 @@ from chaincontrib.baseline import (
     explain_central,
     kernel_shap,
     pool_features,
+    read_shap_summary,
     shapley_kernel_weight,
     train_central,
     write_shap_csvs,
@@ -549,3 +550,9 @@ def test_write_shap_csvs_deterministic_and_parseable(tmp_path) -> None:
     scores = aggregate_company(report)
     for actor_id, value in parsed.items():
         assert float(value) == pytest.approx(scores[actor_id])
+
+
+def test_shap_summary_round_trip(tmp_path) -> None:
+    report = small_report()
+    _, summary_path = write_shap_csvs(report, tmp_path)
+    assert read_shap_summary(summary_path) == aggregate_company(report)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,7 @@ def write_config(tmp_path: Path, name: str = "config.json", **overrides) -> Path
         },
         "hyper": dict(FAST_HYPER),
         "campaign": {"noise_feature_count": 4},
-        "central": {
-            "sample_count": 96,
-            "background_size": 40,
-            "max_instances": 10,
-            "include_noise": True,
-        },
+        "central": {"sample_count": 96, "background_size": 40, "max_instances": 10},
     }
     config.update(overrides)
     path = tmp_path / name
@@ -92,6 +88,35 @@ def test_malformed_json_exits_two(tmp_path) -> None:
     assert run("synth", "--config", str(path)) == 2
 
 
+@pytest.mark.parametrize(
+    ("section", "key", "value"),
+    [
+        ("hyper", "log_variance_clamp", 5),
+        ("hyper", "member_count", "5"),
+        ("hyper", "hidden_size", 2.5),
+        ("data", "setpoints", [1, 2]),
+        ("data", "actor_schema", [1]),
+    ],
+)
+def test_malformed_section_value_exits_two(tmp_path, capsys, section, key, value) -> None:
+    raw = json.loads(write_config(tmp_path).read_text())
+    raw.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert run("synth", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section} section invalid")
+    assert "Traceback" not in err
+
+
+def test_readme_minimal_config_parses() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"A minimal synthetic experiment:\s*```json\n(.*?)```", readme, re.S)
+    config = parse_config(json.loads(block.group(1)))
+    assert config.seed == config.synth.seed == 7
+    assert config.hyper.member_count == 5
+
+
 def test_hyper_overrides_reach_parsed_config(tmp_path) -> None:
     path = write_config(tmp_path)
     config = parse_config(json.loads(path.read_text()))
@@ -106,6 +131,17 @@ def test_cli_flags_override_config(tmp_path) -> None:
     out_dir = tmp_path / "elsewhere"
     assert run("synth", "--config", str(path), "--seed", "9", "--out", str(out_dir)) == 0
     assert (out_dir / "data" / "manifest.json").exists()
+
+
+def test_seed_flag_reaches_synth(tmp_path) -> None:
+    flagged = write_config(tmp_path, name="flagged.json", out=str(tmp_path / "flag"))
+    seeded = write_config(tmp_path, name="seeded.json", out=str(tmp_path / "cfg"), seed=9)
+    assert run("synth", "--config", str(flagged), "--seed", "9") == 0
+    assert run("synth", "--config", str(seeded)) == 0
+    for name in ("actor-1.csv", "actor-3.csv", "metric.csv", "manifest.json"):
+        assert (tmp_path / "flag" / "data" / name).read_bytes() == (
+            tmp_path / "cfg" / "data" / name
+        ).read_bytes()
 
 
 # --------------------------------------------------------------------- synth
@@ -247,11 +283,11 @@ def test_run_decentralised_rerun_byte_identical(tmp_path) -> None:
 
 
 def test_run_decentralised_with_decliner(tmp_path) -> None:
-    path = write_config(
-        tmp_path,
-        campaign={"noise_feature_count": 4, "decliners": ["actor-2"]},
-    )
+    path = write_config(tmp_path)
     synth_then(tmp_path, path)
+    # Cut actor-2 below the default 50-part overlap, so it declines.
+    actor_csv = tmp_path / "run" / "data" / "actor-2.csv"
+    actor_csv.write_text("".join(actor_csv.read_text().splitlines(keepends=True)[:11]))
     assert run("run-decentralised", "--config", str(path)) == 0
     out = tmp_path / "run" / "decentralised"
     log = json.loads((out / "campaign_log.json").read_text())
@@ -264,13 +300,8 @@ def test_run_decentralised_with_decliner(tmp_path) -> None:
 
 
 def test_run_decentralised_all_decline_exits_three(tmp_path) -> None:
-    path = write_config(
-        tmp_path,
-        campaign={
-            "noise_feature_count": 4,
-            "decliners": ["actor-1", "actor-2", "actor-3"],
-        },
-    )
+    # No actor can overlap the metric on a million parts.
+    path = write_config(tmp_path, campaign={"noise_feature_count": 4, "min_overlap": 10**6})
     synth_then(tmp_path, path)
     assert run("run-decentralised", "--config", str(path)) == 3
 
@@ -375,18 +406,10 @@ def test_compare_rerun_byte_identical(tmp_path) -> None:
 
 
 def test_compare_mismatched_actor_sets_exits_two(tmp_path) -> None:
-    path = write_config(
-        tmp_path,
-        central={
-            "sample_count": 96,
-            "background_size": 40,
-            "max_instances": 10,
-            "include_noise": False,  # summary then lacks the noise actor
-        },
-    )
-    assert run("synth", "--config", str(path)) == 0
-    assert run("run-decentralised", "--config", str(path)) == 0
-    assert run("run-central", "--config", str(path)) == 0
+    path = full_pipeline(tmp_path)
+    summary = tmp_path / "run" / "central" / "shap_summary.csv"
+    lines = summary.read_text().splitlines(keepends=True)
+    summary.write_text("".join(x for x in lines if not x.startswith(NOISE_ACTOR_ID)))
     assert run("compare", "--config", str(path)) == 2
 
 
@@ -416,7 +439,8 @@ def test_actor_unknown_id_exits_two(tmp_path, capsys) -> None:
     assert "nobody" in capsys.readouterr().err
 
 
-def test_actor_bad_listen_spec_exits_two(tmp_path) -> None:
+@pytest.mark.parametrize("listen", ["nonsense", "127.0.0.1:-5", "127.0.0.1:70000"])
+def test_actor_bad_listen_spec_exits_two(tmp_path, listen) -> None:
     path = write_config(tmp_path)
     synth_then(tmp_path, path)
     code = run(
@@ -428,7 +452,7 @@ def test_actor_bad_listen_spec_exits_two(tmp_path) -> None:
         "--seed",
         "0",
         "--listen",
-        "nonsense",
+        listen,
     )
     assert code == 2
 

@@ -80,6 +80,14 @@ class TestHyper:
         with pytest.raises(ValueError):
             EnsembleHyper(validation_fraction=1.0)
 
+    @pytest.mark.parametrize(
+        "name", ["member_count", "hidden_size", "batch_size", "patience_epochs", "max_epochs"]
+    )
+    def test_integer_fields_reject_other_types(self, name):
+        for value in (2.5, 3.0, True, "3"):
+            with pytest.raises(TypeError, match=name):
+                EnsembleHyper(**{name: value})
+
     def test_dict_round_trip_rejects_unknown_fields(self):
         hyper = EnsembleHyper(member_count=3, hidden_size=10)
         assert EnsembleHyper.from_dict(hyper.to_dict()) == hyper

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincontrib import protocol
 from chaincontrib.dataset import (
     NOISE_ACTOR_ID,
     ActorDataset,
@@ -81,8 +82,13 @@ def example_call(metric=None, deadline=30.0) -> CallForUncertainty:
     )
 
 
-# Hyper fields that fail validation in three different ways.
-BAD_HYPER = [{"member_count": 1}, {"log_variance_clamp": 5}, {"max_epochs": "x"}]
+# Hyper fields that fail validation in four different ways.
+BAD_HYPER = [
+    {"member_count": 1},
+    {"log_variance_clamp": 5},
+    {"max_epochs": "x"},
+    {"hidden_size": 2.5},
+]
 
 
 def call_frame_with_hyper(**hyper) -> bytes:
@@ -440,6 +446,14 @@ class TestRankContributions:
         assert one == (tmp_path / "two.csv").read_bytes()
         assert b"rank,actor_id,total_uncertainty,below_noise_floor" in one
 
+    def test_csv_round_trip(self, tmp_path):
+        ranking = rank_contributions(
+            [response("A", 0.1 + 0.2), response("B", 3.0), response("C", 1.0 / 3.0)],
+            noise=response(NOISE_ACTOR_ID, 2.0),
+        )
+        ranking.to_csv(tmp_path / "ranking.csv")
+        assert ContributionRanking.from_csv(tmp_path / "ranking.csv") == ranking
+
 
 class TestInProcessCampaign:
     def test_ranking_with_one_decliner(self):
@@ -705,13 +719,17 @@ class TestSocketTransport:
             reply = decode_message(self.ask(server, encode_message(example_call())))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
 
-    def test_server_survives_failure_inside_a_call(self):
+    def test_server_survives_failure_inside_a_call(self, monkeypatch):
         datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
-        # Decodes, but a fractional layer size fails once training starts.
+
+        def broken_training(*args, **kwargs):
+            raise RuntimeError("training blew up")
+
+        # Decodes, but fails with an error handle_call does not turn into
+        # a decline, once training starts.
+        monkeypatch.setattr(protocol, "train_ensemble", broken_training)
         call = CallForUncertainty("call-000001", metric, FAST_HYPER, 30.0)
-        raw = json.loads(encode_message(call).decode())
-        raw["hyper"]["hidden_size"] = 2.5
         with ActorServer(datasets[0], base_seed=6) as server:
-            assert self.ask(server, json.dumps(raw).encode() + b"\n") == b""
+            assert self.ask(server, encode_message(call)) == b""
             reply = decode_message(self.ask(server, encode_message(example_call())))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
