@@ -50,6 +50,7 @@ from chaincontrib.dataset import (
     load_csv,
     make_noise_actor,
     partition_actors,
+    require_int,
     save_actor_datasets,
 )
 from chaincontrib.ensemble import EnsembleHyper
@@ -133,9 +134,9 @@ class CampaignConfig:
 
 _CAMPAIGN_CONVERT = {
     "deadline": float,
-    "noise_feature_count": int,
+    "noise_feature_count": partial(require_int, "noise_feature_count"),
     "slack": float,
-    "min_overlap": int,
+    "min_overlap": partial(require_int, "min_overlap"),
 }
 
 
@@ -147,9 +148,11 @@ class CentralConfig:
 
 
 _CENTRAL_CONVERT = {
-    "sample_count": int,
-    "background_size": int,
-    "max_instances": lambda n: None if n is None else int(n),
+    "sample_count": partial(require_int, "sample_count"),
+    "background_size": partial(require_int, "background_size", least=1),
+    "max_instances": lambda n: (
+        None if n is None else require_int("max_instances", n, least=1)
+    ),
 }
 
 
@@ -217,7 +220,7 @@ def parse_config(raw: Mapping, args: argparse.Namespace | None = None) -> RunCon
     def synth(section):
         # The synthetic data follow the run's seed unless they set their own.
         if isinstance(section, Mapping):
-            section = {"seed": int(raw.get("seed", RunConfig.seed)), **section}
+            section = {"seed": raw.get("seed", RunConfig.seed), **section}
         return _section(SyntheticSpec, "synth", section)
 
     return _section(
@@ -225,7 +228,7 @@ def parse_config(raw: Mapping, args: argparse.Namespace | None = None) -> RunCon
         "top level",
         raw,
         {
-            "seed": int,
+            "seed": partial(require_int, "seed"),
             "out": Path,
             "transport": str,
             "data": partial(_section, DataConfig, "data", convert=_DATA_CONVERT),

@@ -26,6 +26,20 @@ class ParseError(ValueError):
     """An input file violates the expected layout."""
 
 
+def require_int(name: str, value, least: int | None = None) -> int:
+    """Return ``value`` if it is an integer of at least ``least``.
+
+    A fraction, a bool or any other type raises TypeError, so that no
+    count or seed from a config or a frame is ever silently truncated;
+    a value below ``least`` raises ValueError.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
 def _parse_cell(text: str, row_index: int, column: str) -> float:
     s = text.strip()
     if s == "" or s.lower() == "nan":
@@ -450,12 +464,10 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signal_weights", tuple(float(w) for w in self.signal_weights))
-        if self.actor_count < 2:
-            raise ValueError("at least 2 actors required")
-        if self.row_count < 200:
-            raise ValueError("row_count must be at least 200")
-        if self.features_per_actor < 1:
-            raise ValueError("features_per_actor must be positive")
+        require_int("actor_count", self.actor_count, 2)
+        require_int("features_per_actor", self.features_per_actor, 1)
+        require_int("row_count", self.row_count, 200)
+        require_int("seed", self.seed, 0)
         if len(self.signal_weights) != self.actor_count:
             raise ValueError("one signal weight per actor required")
         if any(w < 0 for w in self.signal_weights):

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from chaincontrib.dataset import ActorDataset, MetricSeries
+from chaincontrib.dataset import ActorDataset, MetricSeries, require_int
 
 
 class TrainingError(RuntimeError):
@@ -53,11 +53,7 @@ class EnsembleHyper:
         lo, hi = (float(v) for v in self.log_variance_clamp)
         object.__setattr__(self, "log_variance_clamp", (lo, hi))
         for name, least in _INTEGER_MINIMUMS.items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}")
+            require_int(name, getattr(self, name), least)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.learning_rate < 0.0:

@@ -7,6 +7,8 @@ for the kernel estimator.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from chaincontrib.dataset import (
     MetricSeries,
     SyntheticSpec,
     generate_synthetic,
+    make_noise_actor,
 )
 from chaincontrib.ensemble import EnsembleHyper
 
@@ -245,10 +248,10 @@ def test_kernel_sampled_coalitions_merge_like_reference(d: int) -> None:
     expected = _solve_attribution(
         masks,
         weights,
-        fn(np.where(masks, instance, mean)),
+        fn(np.where(masks, instance, mean))[:, None],
         float(fn(mean[None, :])[0]),
-        float(fn(instance[None, :])[0]),
-    )
+        fn(instance[None, :]),
+    )[0]
     got = kernel_shap(fn, instance, background, sample_count=budget, seed=5)
     np.testing.assert_array_equal(got, expected)
 
@@ -277,7 +280,7 @@ def test_singular_system_names_sample_count() -> None:
     # Coalitions covering only one feature cannot identify the others.
     masks = np.array([[True, False, False]] * 4)
     with pytest.raises(ValueError, match="sample_count"):
-        _solve_attribution(masks, np.ones(4), np.ones(4), base=0.0, full=1.0)
+        _solve_attribution(masks, np.ones(4), np.ones((4, 1)), base=0.0, full=np.ones(1))
 
 
 def test_kernel_error_shrinks_as_budget_quadruples() -> None:
@@ -531,6 +534,112 @@ def test_explain_central_ranks_heavy_actor_first() -> None:
     report = explain_central(model, sample_count=128, seed=0, background_size=50)
     scores = aggregate_company(report)
     assert scores["actor-1"] > scores["actor-2"]
+
+
+def pooled_model(actor_count: int) -> CentralModel:
+    """A briefly trained model on three columns per actor plus five noise
+    columns; four actors give the 17 columns of the benchmark's central run."""
+    spec = SyntheticSpec(
+        actor_count=actor_count,
+        features_per_actor=3,
+        signal_weights=(3.0, 2.0, 1.0, 0.5)[:actor_count],
+        noise_std=0.5,
+        row_count=600,
+        seed=1,
+    )
+    datasets, series, _ = generate_synthetic(spec)
+    datasets.append(make_noise_actor(len(series), 5, series.part_ids, seed=2))
+    hyper = dataclasses.replace(CENTRAL_HYPER, max_epochs=5)
+    return train_central(datasets, series, hyper, seed=3)
+
+
+def one_at_a_time(model: CentralModel, report: ShapReport, sample_count: int, seed: int):
+    rows = model.validation_features[: len(report.instance_ids)]
+    return np.array(
+        [
+            kernel_shap(model, row, report.background, sample_count=sample_count, seed=seed)
+            for row in rows
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    ("actor_count", "max_instances"),
+    [
+        (4, 23),  # 17 columns: coalitions sampled
+        (2, None),  # 11 columns: all 2046 coalitions enumerated
+    ],
+)
+def test_explain_central_equals_per_instance_kernel_shap(actor_count, max_instances) -> None:
+    model = pooled_model(actor_count)
+    report = explain_central(
+        model, sample_count=2048, seed=7, background_size=50, max_instances=max_instances
+    )
+    np.testing.assert_allclose(
+        report.values, one_at_a_time(model, report, 2048, 7), rtol=0, atol=1e-9
+    )
+    rows = model.validation_features[: len(report.instance_ids)]
+    np.testing.assert_array_equal(report.predictions, model.predict(rows))
+    mean = report.background.mean(axis=0)
+    assert report.base_value == float(model.predict(mean[None, :])[0])
+
+
+def test_explain_central_rows_do_not_depend_on_the_instance_count() -> None:
+    # Counts from one instance upwards end a batch at every possible place.
+    model = pooled_model(4)
+    reports = [
+        explain_central(
+            model, sample_count=2048, seed=7, background_size=50, max_instances=count
+        )
+        for count in range(1, 9)
+    ]
+    alone = one_at_a_time(model, reports[-1], 2048, 7)
+    for count, report in enumerate(reports, start=1):
+        np.testing.assert_allclose(report.values, alone[:count], rtol=0, atol=1e-9)
+
+
+def test_explain_central_enumerated_matches_exact_shapley() -> None:
+    model = trained_model()  # 6 pooled columns: 62 coalitions, all enumerated
+    report = explain_central(model, sample_count=64, seed=0, background_size=30)
+    for row, phi in zip(model.validation_features, report.values):
+        oracle = exact_shapley(model, row, report.background)
+        np.testing.assert_allclose(phi, oracle, rtol=0, atol=1e-9)
+
+
+def test_explain_central_singular_system_raises() -> None:
+    # At this minimal budget, seed 178 draws too few distinct coalitions.
+    with pytest.raises(ValueError, match="singular"):
+        explain_central(trained_model(), sample_count=14, seed=178, max_instances=3)
+
+
+@pytest.mark.parametrize("max_instances", [-3, 0])
+def test_explain_central_rejects_a_cap_below_one(max_instances) -> None:
+    with pytest.raises(ValueError, match="max_instances"):
+        explain_central(trained_model(), sample_count=64, max_instances=max_instances)
+
+
+def test_explain_central_rejects_an_empty_background() -> None:
+    with pytest.raises(ValueError, match="background_size"):
+        explain_central(trained_model(), sample_count=64, background_size=0)
+
+
+def test_explain_central_checks_the_budget_before_any_model_call(monkeypatch) -> None:
+    model = trained_model()
+    calls = []
+    monkeypatch.setattr(CentralModel, "predict", lambda self, rows: calls.append(rows))
+    with pytest.raises(ValueError, match="sample_count"):
+        explain_central(model, sample_count=13)  # 6 columns need 14
+    assert calls == []
+
+
+def test_explain_central_gate_catches_nan_attributions() -> None:
+    # A NaN background column makes the base value and attributions NaN.
+    model = trained_model()
+    train = model.training_features.copy()
+    train[:, 0] = np.nan
+    broken = dataclasses.replace(model, training_features=train)
+    with pytest.raises(AssertionError, match="local accuracy"):
+        explain_central(broken, sample_count=64, background_size=30, max_instances=3)
 
 
 def test_write_shap_csvs_deterministic_and_parseable(tmp_path) -> None:

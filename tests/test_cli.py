@@ -96,11 +96,22 @@ def test_malformed_json_exits_two(tmp_path) -> None:
         ("hyper", "hidden_size", 2.5),
         ("data", "setpoints", [1, 2]),
         ("data", "actor_schema", [1]),
+        ("top level", "seed", 7.9),
+        ("top level", "seed", True),
+        ("campaign", "min_overlap", 2.5),
+        ("campaign", "noise_feature_count", 4.0),
+        ("central", "sample_count", True),
+        ("central", "background_size", 40.5),
+        ("central", "background_size", 0),
+        ("central", "max_instances", 3.7),
+        ("central", "max_instances", -3),
+        ("synth", "row_count", 300.5),
+        ("synth", "features_per_actor", 2.5),
     ],
 )
 def test_malformed_section_value_exits_two(tmp_path, capsys, section, key, value) -> None:
     raw = json.loads(write_config(tmp_path).read_text())
-    raw.setdefault(section, {})[key] = value
+    (raw if section == "top level" else raw.setdefault(section, {}))[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert run("synth", "--config", str(path)) == 2

@@ -518,6 +518,28 @@ class TestGenerateSynthetic:
             SyntheticSpec(2, 3, (1.0, 1.0), 0.5, 400, cross_correlation=1.0)
 
 
+class TestSyntheticSpec:
+    @pytest.mark.parametrize(
+        "name", ["actor_count", "features_per_actor", "row_count", "seed"]
+    )
+    def test_integer_fields_reject_other_types(self, name):
+        valid = dict(
+            actor_count=2,
+            features_per_actor=3,
+            signal_weights=(1.0, 1.0),
+            noise_std=0.5,
+            row_count=400,
+            seed=0,
+        )
+        for value in (2.5, 300.5, 3.0, True, "3"):
+            with pytest.raises(TypeError, match=name):
+                SyntheticSpec(**{**valid, name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            SyntheticSpec(2, 3, (1.0, 1.0), 0.5, 400, seed=-1)
+
+
 class TestMakeNoiseActor:
     def test_shape_and_centering(self):
         ids = tuple(f"P{i}" for i in range(100))
