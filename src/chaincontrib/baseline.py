@@ -74,14 +74,40 @@ class CentralModel:
         return mean * self.target_scale + self.target_center
 
 
+def _pooled_columns(
+    actors: Sequence[ActorDataset],
+) -> list[tuple[int, int, tuple[str, str]]]:
+    """(actor position, column position, attribution) of every pooled column.
+
+    A column flagged shared enters once, attributed to the shared
+    pseudo-actor; the first actor carrying it supplies the values.
+    """
+    pooled = []
+    seen_shared: set[str] = set()
+    for k, actor in enumerate(actors):
+        for j, (column, shared) in enumerate(zip(actor.columns, actor.shared_flags)):
+            if shared:
+                if column in seen_shared:
+                    continue
+                seen_shared.add(column)
+                pooled.append((k, j, (SHARED_ACTOR_ID, column)))
+            else:
+                pooled.append((k, j, (actor.actor_id, column)))
+    return pooled
+
+
+def pooled_width(actors: Sequence[ActorDataset]) -> int:
+    """Number of columns `pool_features` gives these actors, without pooling."""
+    return len(_pooled_columns(actors))
+
+
 def pool_features(
     actors: Sequence[ActorDataset], metric: MetricSeries
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], tuple[tuple[str, str], ...]]:
     """Inner-join all actors with the metric; deduplicate shared columns.
 
-    Row order follows the metric series (chronological). A column flagged
-    shared enters once, attributed to the shared pseudo-actor; the first
-    actor carrying it supplies the values.
+    Row order follows the metric series (chronological). Shared columns
+    enter once, as `_pooled_columns` says.
     """
     if not actors:
         raise ValueError("at least one actor dataset required")
@@ -90,24 +116,16 @@ def pool_features(
     if not ids:
         raise ValueError("no part ids shared by every actor and the metric")
 
-    columns: list[np.ndarray] = []
-    index: list[tuple[str, str]] = []
-    seen_shared: set[str] = set()
-    for actor in actors:
-        rows = actor.rows_for(ids)
-        for j, (column, shared) in enumerate(zip(actor.columns, actor.shared_flags)):
-            if shared:
-                if column in seen_shared:
-                    continue
-                seen_shared.add(column)
-                index.append((SHARED_ACTOR_ID, column))
-            else:
-                index.append((actor.actor_id, column))
-            columns.append(rows[:, j])
-
+    rows = [actor.rows_for(ids) for actor in actors]
+    pooled = _pooled_columns(actors)
     metric_map = metric.as_mapping()
     targets = np.array([metric_map[pid] for pid in ids], dtype=float)
-    return np.column_stack(columns), targets, tuple(ids), tuple(index)
+    return (
+        np.column_stack([rows[k][:, j] for k, j, _ in pooled]),
+        targets,
+        tuple(ids),
+        tuple(index for _, _, index in pooled),
+    )
 
 
 def train_central(
@@ -227,6 +245,14 @@ def _solve_attribution(
     return phi
 
 
+def require_sample_count(sample_count: int, width: int) -> None:
+    """Kernel SHAP over ``width`` features needs at least 2 * width + 2 coalitions."""
+    if sample_count < 2 * width + 2:
+        raise ValueError(
+            f"sample_count {sample_count} too small; need at least {2 * width + 2}"
+        )
+
+
 def _attribute(
     fn: Callable[[np.ndarray], np.ndarray],
     instances: np.ndarray,
@@ -245,10 +271,7 @@ def _attribute(
     d = instances.shape[1]
     if background.shape[1] != d:
         raise ValueError("background width does not match the instance")
-    if sample_count < 2 * d + 2:
-        raise ValueError(
-            f"sample_count {sample_count} too small; need at least {2 * d + 2}"
-        )
+    require_sample_count(sample_count, d)
     background_mean = background.mean(axis=0)
     base = float(fn(background_mean[None, :])[0])
     predictions = fn(instances)

@@ -33,7 +33,9 @@ import numpy as np
 
 from chaincontrib.baseline import (
     explain_central,
+    pooled_width,
     read_shap_summary,
+    require_sample_count,
     train_central,
     write_shap_csvs,
 )
@@ -450,6 +452,9 @@ def cmd_run_central(config: RunConfig) -> int:
             seed=derive_seed(config.seed, NOISE_ACTOR_ID),
         )
     )
+    # The attribution budget depends only on the pooled width: refuse a
+    # too-small one before training, not after.
+    require_sample_count(config.central.sample_count, pooled_width(datasets))
     model = train_central(datasets, metric, config.hyper, seed=config.seed)
     report = explain_central(
         model,

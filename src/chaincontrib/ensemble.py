@@ -12,6 +12,7 @@ reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -124,25 +125,43 @@ def init_member(input_size: int, hidden_size: int, seed: int) -> Member:
     return Member(w1=w1, b1=b1, w2=w2, b2=b2, rng_seed=seed)
 
 
-def _layers(
-    member: Member, batch: np.ndarray, dropout_mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pre-activation, hidden, output) of a (rows, inputs) batch.
-
-    The network's only forward pass. ``member`` may be any object with
-    the four parameter arrays as attributes, as the trainer's in-place
-    state is.
-    """
-    if batch.ndim != 2 or batch.shape[1] != member.w1.shape[0]:
+def _check_arity(batch: np.ndarray, input_size: int) -> None:
+    if batch.ndim != 2 or batch.shape[1] != input_size:
         raise ValueError(
-            f"input of shape {batch.shape} does not match input arity "
-            f"{member.w1.shape[0]}"
+            f"input of shape {batch.shape} does not match input arity {input_size}"
         )
-    pre = batch @ member.w1 + member.b1
-    hidden = np.maximum(pre, 0.0)
+
+
+def _parameter_views(flat: np.ndarray, input_size: int, hidden_size: int) -> tuple:
+    """(w1, b1, w2, b2) as views into one vector in parameter_vector() order."""
+    w1_end = input_size * hidden_size
+    b1_end = w1_end + hidden_size
+    w2_end = b1_end + 2 * hidden_size
+    return (
+        flat[:w1_end].reshape(input_size, hidden_size),
+        flat[w1_end:b1_end],
+        flat[b1_end:w2_end].reshape(hidden_size, 2),
+        flat[w2_end:],
+    )
+
+
+def _forward_into(params, batch, hidden, out, active=None, dropout_mask=None) -> None:
+    """The network's only forward pass, written into preallocated arrays.
+
+    ``params`` is (w1, b1, w2, b2). ``hidden`` receives the rectified
+    hidden layer (times the dropout mask, if any) and ``out`` the two
+    heads; ``active`` marks where the rectifier passes gradient.
+    """
+    w1, b1, w2, b2 = params
+    np.matmul(batch, w1, out=hidden)
+    np.add(hidden, b1, out=hidden)
+    np.maximum(hidden, 0.0, out=hidden)
+    if active is not None:
+        np.greater(hidden, 0.0, out=active)
     if dropout_mask is not None:
-        hidden = hidden * dropout_mask
-    return pre, hidden, hidden @ member.w2 + member.b2
+        np.multiply(hidden, dropout_mask, out=hidden)
+    np.matmul(hidden, w2, out=out)
+    np.add(out, b2, out=out)
 
 
 def forward(
@@ -151,8 +170,16 @@ def forward(
     clamp: tuple[float, float] = (-10.0, 10.0),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic pass over a (rows, inputs) batch; returns (mean,
-    clamped log-variance) per row."""
-    _, _, out = _layers(member, np.asarray(x, dtype=float))
+    clamped log-variance) per row.
+
+    ``member`` may be any object with the four parameter arrays as
+    attributes, as the trainer's in-place state is.
+    """
+    batch = np.asarray(x, dtype=float)
+    _check_arity(batch, member.w1.shape[0])
+    hidden = np.empty((batch.shape[0], member.w1.shape[1]))
+    out = np.empty((batch.shape[0], 2))
+    _forward_into((member.w1, member.b1, member.w2, member.b2), batch, hidden, out)
     return out[:, 0], np.clip(out[:, 1], clamp[0], clamp[1])
 
 
@@ -169,6 +196,70 @@ def nll_loss(mean, log_var, target):
     if value.ndim == 0:
         return float(value)
     return value
+
+
+class _Scratch:
+    """Work arrays of the gradient kernel for batches of one row count.
+
+    The first axis of every array is the batch row.
+    """
+
+    def __init__(self, rows: int, hidden_size: int):
+        self.hidden, self.d_hidden, self.dropout = np.empty((3, rows, hidden_size))
+        self.active, self.kept = np.empty((2, rows, hidden_size), dtype=bool)
+        self.out, self.d_out = np.empty((2, rows, 2))
+        self.mean, self.raw = self.out[:, 0], self.out[:, 1]
+        self.d_mean, self.d_log_var = self.d_out[:, 0], self.d_out[:, 1]
+        self.log_var, self.negated, self.inv_var, self.residual, self.fit, self.terms = (
+            np.empty((6, rows))
+        )
+        self.inside, self.below = np.empty((2, rows), dtype=bool)
+
+    def head(self, rows: int) -> "_Scratch":
+        """The same arrays cut to their first ``rows`` rows (for a short batch)."""
+        part = object.__new__(_Scratch)
+        part.__dict__.update({name: a[:rows] for name, a in vars(self).items()})
+        return part
+
+
+def _loss_into(params, grads, batch, y, clamp, dropout_mask, s: _Scratch) -> float:
+    """Mean NLL over a batch; writes its analytic gradients into ``grads``.
+
+    The only gradient code: ``loss_and_gradients`` and ``train_member``
+    both call it. ``params`` and ``grads`` are (w1, b1, w2, b2); ``s``
+    holds work arrays for exactly ``len(batch)`` rows. Inputs are not
+    checked here.
+    """
+    n = batch.shape[0]
+    lo, hi = clamp
+    _forward_into(params, batch, s.hidden, s.out, s.active, dropout_mask)
+    log_var = np.minimum(np.maximum(s.raw, lo, out=s.log_var), hi, out=s.log_var)
+    inv_var = np.exp(np.negative(log_var, out=s.negated), out=s.inv_var)
+    residual = np.subtract(s.mean, y, out=s.residual)
+    # fit = 0.5 * residual**2 * inv_var, the precision-weighted error term.
+    fit = np.multiply(np.square(residual, out=s.fit), 0.5, out=s.fit)
+    np.multiply(fit, inv_var, out=fit)
+    terms = np.add(np.multiply(log_var, 0.5, out=s.terms), fit, out=s.terms)
+    loss = float(np.add.reduce(terms) / n)
+
+    np.divide(np.multiply(residual, inv_var, out=s.d_mean), n, out=s.d_mean)
+    np.divide(np.subtract(0.5, fit, out=s.d_log_var), n, out=s.d_log_var)
+    # No gradient flows through a clamped log-variance.
+    inside = np.greater(s.raw, lo, out=s.inside)
+    np.logical_and(inside, np.less(s.raw, hi, out=s.below), out=inside)
+    np.copyto(s.d_log_var, 0.0, where=np.logical_not(inside, out=inside))
+
+    w2 = params[2]
+    grad_w1, grad_b1, grad_w2, grad_b2 = grads
+    np.matmul(s.hidden.T, s.d_out, out=grad_w2)
+    np.add.reduce(s.d_out, axis=0, out=grad_b2)
+    d_pre = np.matmul(s.d_out, w2.T, out=s.d_hidden)
+    if dropout_mask is not None:
+        np.multiply(d_pre, dropout_mask, out=d_pre)
+    np.multiply(d_pre, s.active, out=d_pre)
+    np.matmul(batch.T, d_pre, out=grad_w1)
+    np.add.reduce(d_pre, axis=0, out=grad_b1)
+    return loss
 
 
 def loss_and_gradients(
@@ -188,29 +279,16 @@ def loss_and_gradients(
     n = batch.shape[0]
     if y.shape[0] != n:
         raise ValueError("features and targets disagree on row count")
-
-    pre, hidden, out = _layers(member, batch, dropout_mask)
-    mean = out[:, 0]
-    raw_log_var = out[:, 1]
-    log_var = np.clip(raw_log_var, clamp[0], clamp[1])
-    inv_var = np.exp(-log_var)
-    residual = mean - y
-    loss = float(np.mean(0.5 * log_var + 0.5 * residual**2 * inv_var))
-
-    d_out = np.empty_like(out)
-    d_out[:, 0] = residual * inv_var / n
-    inside = (raw_log_var > clamp[0]) & (raw_log_var < clamp[1])
-    d_out[:, 1] = np.where(inside, (0.5 - 0.5 * residual**2 * inv_var) / n, 0.0)
-
-    grad_w2 = hidden.T @ d_out
-    grad_b2 = d_out.sum(axis=0)
-    d_hidden = d_out @ member.w2.T
-    if dropout_mask is not None:
-        d_hidden = d_hidden * dropout_mask
-    d_pre = d_hidden * (pre > 0.0)
-    grad_w1 = batch.T @ d_pre
-    grad_b1 = d_pre.sum(axis=0)
-    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+    input_size, hidden_size = member.w1.shape
+    _check_arity(batch, input_size)
+    params = (member.w1, member.b1, member.w2, member.b2)
+    grads = _parameter_views(
+        np.empty(sum(p.size for p in params)), input_size, hidden_size
+    )
+    loss = _loss_into(
+        params, grads, batch, y, clamp, dropout_mask, _Scratch(n, hidden_size)
+    )
+    return loss, dict(zip(("w1", "b1", "w2", "b2"), grads))
 
 
 def _chronological_split(row_count: int, validation_fraction: float) -> tuple[slice, slice]:
@@ -245,27 +323,42 @@ def train_member(
     n = features.shape[0]
     if targets.shape[0] != n:
         raise ValueError("features and targets disagree on row count")
+    input_size, hidden_size = member.w1.shape
+    _check_arity(features, input_size)
     train_slice, val_slice = _chronological_split(n, hyper.validation_fraction)
     x_train, y_train = features[train_slice], targets[train_slice]
     x_val, y_val = features[val_slice], targets[val_slice]
-    if x_train.shape[0] < 2 * hyper.batch_size:
+    n_train = x_train.shape[0]
+    if n_train < 2 * hyper.batch_size:
         raise ValueError(
-            f"{x_train.shape[0]} training rows after the validation split; "
+            f"{n_train} training rows after the validation split; "
             f"need at least 2 x batch_size = {2 * hyper.batch_size}"
         )
 
     clamp = hyper.log_variance_clamp
     rng = _rng(member.rng_seed, 1)
-    # The parameters under training, updated in place at every step. The
-    # network core reads them as attributes, as it reads a Member.
-    state = SimpleNamespace(
-        w1=member.w1.copy(), b1=member.b1.copy(), w2=member.w2.copy(), b2=member.b2.copy()
-    )
-    params = vars(state)
-    moment1 = {k: np.zeros_like(v) for k, v in params.items()}
-    moment2 = {k: np.zeros_like(v) for k, v in params.items()}
+    # The parameters under training live in one vector, updated in place
+    # at every step; w1, b1, w2, b2 are views into it, and the gradient
+    # vector has the same layout. The forward pass reads the views as
+    # attributes, as it reads a Member.
+    theta = member.parameter_vector()
+    grad = np.empty_like(theta)
+    params = _parameter_views(theta, input_size, hidden_size)
+    grads = _parameter_views(grad, input_size, hidden_size)
+    state = SimpleNamespace(**dict(zip(("w1", "b1", "w2", "b2"), params)))
+    moment1 = np.zeros_like(theta)
+    moment2 = np.zeros_like(theta)
+    work1 = np.empty_like(theta)
+    work2 = np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
+    # Minibatches are consecutive slices of each epoch's shuffled rows;
+    # only the last one may be short.
+    full = _Scratch(hyper.batch_size, hidden_size)
+    batches = []
+    for start in range(0, n_train, hyper.batch_size):
+        rows = min(hyper.batch_size, n_train - start)
+        batches.append((slice(start, start + rows), full.head(rows)))
 
     best = member
     best_val = _eval_nll(best, x_val, y_val, clamp)
@@ -274,29 +367,41 @@ def train_member(
     keep = 1.0 - hyper.dropout_rate
 
     for epoch in range(1, hyper.max_epochs + 1):
-        order = rng.permutation(x_train.shape[0])
-        for start in range(0, x_train.shape[0], hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
+        order = rng.permutation(n_train)
+        x_epoch, y_epoch = x_train[order], y_train[order]
+        for rows, s in batches:
             mask = None
             if hyper.dropout_rate > 0.0:
-                mask = (rng.random((idx.size, hyper.hidden_size)) < keep) / keep
-            loss, grads = loss_and_gradients(
-                state, x_train[idx], y_train[idx], clamp, dropout_mask=mask
+                # Uniform draws, then in the same array the kept units
+                # scaled by 1 / keep.
+                rng.random(out=s.dropout)
+                np.less(s.dropout, keep, out=s.kept)
+                mask = np.divide(s.kept, keep, out=s.dropout)
+            loss = _loss_into(
+                params, grads, x_epoch[rows], y_epoch[rows], clamp, mask, s
             )
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite training loss at epoch {epoch} (seed {member.rng_seed})"
                 )
             step += 1
             scale = (
                 hyper.learning_rate
-                * np.sqrt(1.0 - beta2**step)
+                * math.sqrt(1.0 - beta2**step)
                 / (1.0 - beta1**step)
             )
-            for key, grad in grads.items():
-                moment1[key] = beta1 * moment1[key] + (1.0 - beta1) * grad
-                moment2[key] = beta2 * moment2[key] + (1.0 - beta2) * grad**2
-                params[key] -= scale * moment1[key] / (np.sqrt(moment2[key]) + eps)
+            # Adam over the whole vector:
+            # moment1 = beta1 * moment1 + (1 - beta1) * grad
+            np.multiply(moment1, beta1, out=moment1)
+            np.add(moment1, np.multiply(grad, 1.0 - beta1, out=work1), out=moment1)
+            # moment2 = beta2 * moment2 + (1 - beta2) * grad**2
+            np.multiply(moment2, beta2, out=moment2)
+            np.multiply(np.square(grad, out=work1), 1.0 - beta2, out=work1)
+            np.add(moment2, work1, out=moment2)
+            # theta -= scale * moment1 / (sqrt(moment2) + eps)
+            np.add(np.sqrt(moment2, out=work1), eps, out=work1)
+            np.divide(np.multiply(moment1, scale, out=work2), work1, out=work2)
+            np.subtract(theta, work2, out=theta)
 
         val_nll = _eval_nll(state, x_val, y_val, clamp)
         if not np.isfinite(val_nll):
@@ -306,9 +411,7 @@ def train_member(
         log.append((epoch, val_nll))
         if val_nll < best_val:
             best_val = val_nll
-            best = Member(
-                **{k: v.copy() for k, v in params.items()}, rng_seed=member.rng_seed
-            )
+            best = Member(*(p.copy() for p in params), rng_seed=member.rng_seed)
             best_epoch = epoch
         if epoch - best_epoch >= hyper.patience_epochs:
             break

@@ -46,6 +46,10 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 DEFAULT_MIN_OVERLAP = 50
 DEFAULT_NOISE_FEATURES = 5
+# Longest frame either side of a socket reads. A call frame for 20 000
+# rows is about 0.7 MB. A longer frame is read only up to this size, so it
+# lacks its newline and fails to decode as truncated.
+MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 
 class DecodeError(ValueError):
@@ -524,7 +528,7 @@ class SocketTransport:
                 self._record("sent", peer, frame)
                 conn.sendall(frame)
                 with conn.makefile("rb") as stream:
-                    reply_frame = stream.readline()
+                    reply_frame = stream.readline(MAX_FRAME_BYTES)
         except (OSError, TimeoutError) as exc:
             return ActorOutcome(peer=peer, message=None, detail=str(exc))
         self._record("received", peer, reply_frame)
@@ -577,7 +581,7 @@ class ActorServer:
         with conn:
             conn.settimeout(10.0)
             with conn.makefile("rb") as stream:
-                frame = stream.readline()
+                frame = stream.readline(MAX_FRAME_BYTES)
             if not frame:
                 return
             try:

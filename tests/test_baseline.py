@@ -24,6 +24,7 @@ from chaincontrib.baseline import (
     explain_central,
     kernel_shap,
     pool_features,
+    pooled_width,
     read_shap_summary,
     shapley_kernel_weight,
     train_central,
@@ -351,6 +352,7 @@ def test_pool_deduplicates_shared_columns() -> None:
     features, targets, ids, index = pool_features(actors, metric)
     # 2 + 1 private plus the shared column once.
     assert features.shape == (4, 4)
+    assert pooled_width(actors) == 4
     assert index == (
         ("alpha", "x0"),
         ("alpha", "x1"),

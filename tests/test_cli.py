@@ -384,6 +384,27 @@ def test_run_central_constant_target_tiny_attributions(tmp_path) -> None:
     assert max(attributions) < 1e-2
 
 
+def test_run_central_rejects_small_budget_before_training(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    from chaincontrib import baseline
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a model for a budget that cannot be used")
+
+    path = write_config(tmp_path)
+    synth_then(tmp_path, path)
+    raw = json.loads(path.read_text())
+    raw["central"]["sample_count"] = 5  # 3 actors x 3 + 4 noise columns need 28
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(baseline, "train_member", no_training)
+    capsys.readouterr()
+    assert run("run-central", "--config", str(path)) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: sample_count 5 too small; need at least 28"
+    )
+
+
 # ------------------------------------------------------------------- compare
 
 

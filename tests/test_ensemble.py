@@ -349,6 +349,143 @@ class TestTrainMember:
                 train_member(member, x, y, SMALL_HYPER)
 
 
+
+def reference_train_member(member: Member, features, targets, hyper: EnsembleHyper):
+    """The trainer as it was written before the flat-vector kernel: fresh
+    arrays for every product, a fancy-indexed gather per minibatch and one
+    Adam update per parameter array. Same float operations in the same
+    order, so the kernel must reproduce it bit for bit."""
+    lo, hi = hyper.log_variance_clamp
+
+    def layers(p, batch, mask=None):
+        pre = batch @ p["w1"] + p["b1"]
+        hidden = np.maximum(pre, 0.0)
+        if mask is not None:
+            hidden = hidden * mask
+        return pre, hidden, hidden @ p["w2"] + p["b2"]
+
+    def val_nll(p):
+        _, _, out = layers(p, x_val)
+        log_var = np.clip(out[:, 1], lo, hi)
+        return float(np.mean(nll_loss(out[:, 0], log_var, y_val)))
+
+    def loss_and_grads(p, batch, y, mask):
+        n = batch.shape[0]
+        pre, hidden, out = layers(p, batch, mask)
+        mean, raw_log_var = out[:, 0], out[:, 1]
+        log_var = np.clip(raw_log_var, lo, hi)
+        inv_var = np.exp(-log_var)
+        residual = mean - y
+        loss = float(np.mean(0.5 * log_var + 0.5 * residual**2 * inv_var))
+        d_out = np.empty_like(out)
+        d_out[:, 0] = residual * inv_var / n
+        inside = (raw_log_var > lo) & (raw_log_var < hi)
+        d_out[:, 1] = np.where(inside, (0.5 - 0.5 * residual**2 * inv_var) / n, 0.0)
+        d_hidden = d_out @ p["w2"].T
+        if mask is not None:
+            d_hidden = d_hidden * mask
+        d_pre = d_hidden * (pre > 0.0)
+        grads = {
+            "w1": batch.T @ d_pre,
+            "b1": d_pre.sum(axis=0),
+            "w2": hidden.T @ d_out,
+            "b2": d_out.sum(axis=0),
+        }
+        return loss, grads
+
+    n_val = max(1, int(len(features) * hyper.validation_fraction))
+    x_train, y_train = features[:-n_val], targets[:-n_val]
+    x_val, y_val = features[-n_val:], targets[-n_val:]
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=member.rng_seed, spawn_key=(1,))
+    )
+    params = {k: getattr(member, k).copy() for k in ("w1", "b1", "w2", "b2")}
+    moment1 = {k: np.zeros_like(v) for k, v in params.items()}
+    moment2 = {k: np.zeros_like(v) for k, v in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    keep = 1.0 - hyper.dropout_rate
+    step = 0
+    best, best_val, best_epoch = params, val_nll(params), 0
+    log = []
+    for epoch in range(1, hyper.max_epochs + 1):
+        order = rng.permutation(x_train.shape[0])
+        for start in range(0, x_train.shape[0], hyper.batch_size):
+            idx = order[start : start + hyper.batch_size]
+            mask = None
+            if hyper.dropout_rate > 0.0:
+                mask = (rng.random((idx.size, hyper.hidden_size)) < keep) / keep
+            _, grads = loss_and_grads(params, x_train[idx], y_train[idx], mask)
+            step += 1
+            scale = hyper.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
+            for key, grad in grads.items():
+                moment1[key] = beta1 * moment1[key] + (1.0 - beta1) * grad
+                moment2[key] = beta2 * moment2[key] + (1.0 - beta2) * grad**2
+                params[key] -= scale * moment1[key] / (np.sqrt(moment2[key]) + eps)
+        nll = val_nll(params)
+        log.append((epoch, nll))
+        if nll < best_val:
+            best, best_val, best_epoch = {k: v.copy() for k, v in params.items()}, nll, epoch
+        if epoch - best_epoch >= hyper.patience_epochs:
+            break
+    vector = np.concatenate([best["w1"].ravel(), best["b1"], best["w2"].ravel(), best["b2"]])
+    return vector, log
+
+
+def noisy_linear_data(rows: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 3))
+    return x, x @ np.array([1.5, -1.0, 0.5]) + rng.normal(0.0, 0.7, size=rows)
+
+
+# 200 rows leave 160 training rows, ten full batches of 16; 203 rows leave
+# 163, so the last minibatch of every epoch has 3 rows.
+EQUIVALENCE_CASES = {
+    "dropout": dict(rows=200, dropout_rate=0.5),
+    "dropout-short-batch": dict(rows=203, dropout_rate=0.5),
+    "no-dropout-short-batch": dict(rows=203, dropout_rate=0.0),
+    "early-stopping": dict(
+        rows=203, dropout_rate=0.5, patience_epochs=3, max_epochs=40, learning_rate=0.03
+    ),
+}
+
+
+class TestTrainerEquivalence:
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_key_reference_bit_for_bit(self, case, seed):
+        settings = dict(EQUIVALENCE_CASES[case])
+        x, y = noisy_linear_data(settings.pop("rows"), seed)
+        hyper = EnsembleHyper(
+            **{
+                "member_count": 2,
+                "hidden_size": 8,
+                "batch_size": 16,
+                "patience_epochs": 100,
+                "max_epochs": 12,
+                "learning_rate": 0.01,
+                **settings,
+            }
+        )
+        member = init_member(3, 8, seed=seed + 10)
+        trained, log = train_member(member, x, y, hyper, with_log=True)
+        expected, expected_log = reference_train_member(member, x, y, hyper)
+        assert np.array_equal(trained.parameter_vector(), expected)
+        assert log == expected_log
+        if case == "early-stopping":
+            assert len(log) < hyper.max_epochs  # patience ended the run
+
+    def test_wrong_arity_rejected_before_any_step(self, monkeypatch):
+        from chaincontrib import ensemble
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(ensemble, "_loss_into", no_step)
+        x, y = noisy_linear_data(200)
+        with pytest.raises(ValueError, match="arity 3"):
+            train_member(init_member(3, 8, seed=0), np.hstack([x, x]), y, SMALL_HYPER)
+
+
 def make_actor_data(seed=0, rows=200, c=2.0):
     x, y = constant_target_data(seed=seed, rows=rows, c=c)
     ids = tuple(f"P{i}" for i in range(rows))

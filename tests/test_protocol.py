@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaincontrib import protocol
@@ -425,7 +426,10 @@ class TestRankContributions:
         actors = [response(f"actor-{i}", v) for i, v in enumerate(values[:-1])]
         noise = response(NOISE_ACTOR_ID, values[-1])
         plain = rank_contributions(actors, noise)
-        # log is strictly monotone on the positive reals
+        # log is strictly monotone on the positive reals, but in floating
+        # point log1p can round two neighbouring values to one (100.0 and
+        # 99.99999999999999), and a tie may be ordered either way.
+        assume(len({float(np.log1p(v)) for v in values}) == len(values))
         warped = rank_contributions(
             [
                 response(r.actor_id, float(np.log1p(r.total_uncertainty)))
@@ -733,3 +737,56 @@ class TestSocketTransport:
             assert self.ask(server, encode_message(call)) == b""
             reply = decode_message(self.ask(server, encode_message(example_call())))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+
+    def test_server_drops_oversized_frame(self, caplog):
+        datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
+        frame = encode_message(example_call())
+        # Valid JSON if read whole: the padding is whitespace.
+        oversized = frame[:-1] + b" " * protocol.MAX_FRAME_BYTES + b"\n"
+        with ActorServer(datasets[0], base_seed=6) as server:
+            try:
+                assert self.ask(server, oversized) == b""
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # the server hung up before the whole frame was sent
+            reply = decode_message(self.ask(server, frame))
+            assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+        assert "dropping undecodable frame: truncated" in caplog.text
+
+    def test_server_drops_unterminated_frame(self):
+        datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
+        frame = encode_message(example_call())
+        with ActorServer(datasets[0], base_seed=6) as server:
+            with socket.create_connection(server.address, timeout=5.0) as conn:
+                conn.sendall(frame[:-1])
+                conn.shutdown(socket.SHUT_WR)
+                with conn.makefile("rb") as stream:
+                    assert stream.readline() == b""
+            reply = decode_message(self.ask(server, frame))
+            assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+
+    def test_oversized_reply_counts_as_failed_peer(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        reply = b"x" * (protocol.MAX_FRAME_BYTES + 1) + b"\n"
+
+        def flood() -> None:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                stream.readline()
+                try:
+                    conn.sendall(reply)
+                except OSError:
+                    pass  # the coordinator stopped reading at the cap
+
+        peer = threading.Thread(target=flood, daemon=True)
+        peer.start()
+        try:
+            transport = SocketTransport([listener.getsockname()[:2]])
+            [outcome] = transport.request(example_call())
+        finally:
+            peer.join(timeout=10.0)
+            listener.close()
+        assert not peer.is_alive()
+        assert outcome.message is None
+        assert "truncated" in outcome.detail
+        received = [t.data for t in transport.transcript if t.direction == "received"]
+        assert [len(data) for data in received] == [protocol.MAX_FRAME_BYTES]
