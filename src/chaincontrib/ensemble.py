@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -170,11 +169,7 @@ def forward(
     clamp: tuple[float, float] = (-10.0, 10.0),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic pass over a (rows, inputs) batch; returns (mean,
-    clamped log-variance) per row.
-
-    ``member`` may be any object with the four parameter arrays as
-    attributes, as the trainer's in-place state is.
-    """
+    clamped log-variance) per row."""
     batch = np.asarray(x, dtype=float)
     _check_arity(batch, member.w1.shape[0])
     hidden = np.empty((batch.shape[0], member.w1.shape[1]))
@@ -214,12 +209,6 @@ class _Scratch:
             np.empty((6, rows))
         )
         self.inside, self.below = np.empty((2, rows), dtype=bool)
-
-    def head(self, rows: int) -> "_Scratch":
-        """The same arrays cut to their first ``rows`` rows (for a short batch)."""
-        part = object.__new__(_Scratch)
-        part.__dict__.update({name: a[:rows] for name, a in vars(self).items()})
-        return part
 
 
 def _loss_into(params, grads, batch, y, clamp, dropout_mask, s: _Scratch) -> float:
@@ -298,9 +287,12 @@ def _chronological_split(row_count: int, validation_fraction: float) -> tuple[sl
     return slice(0, n_train), slice(n_train, row_count)
 
 
-def _eval_nll(member: Member, features: np.ndarray, targets: np.ndarray, clamp) -> float:
-    mean, log_var = forward(member, features, clamp)
-    return float(np.mean(nll_loss(mean, log_var, targets)))
+def _eval_nll(params, features: np.ndarray, targets: np.ndarray, clamp) -> float:
+    hidden = np.empty((features.shape[0], params[1].shape[0]))
+    out = np.empty((features.shape[0], 2))
+    _forward_into(params, features, hidden, out)
+    log_var = np.clip(out[:, 1], clamp[0], clamp[1])
+    return float(np.mean(nll_loss(out[:, 0], log_var, targets)))
 
 
 def train_member(
@@ -339,13 +331,11 @@ def train_member(
     rng = _rng(member.rng_seed, 1)
     # The parameters under training live in one vector, updated in place
     # at every step; w1, b1, w2, b2 are views into it, and the gradient
-    # vector has the same layout. The forward pass reads the views as
-    # attributes, as it reads a Member.
+    # vector has the same layout.
     theta = member.parameter_vector()
     grad = np.empty_like(theta)
     params = _parameter_views(theta, input_size, hidden_size)
     grads = _parameter_views(grad, input_size, hidden_size)
-    state = SimpleNamespace(**dict(zip(("w1", "b1", "w2", "b2"), params)))
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)
     work1 = np.empty_like(theta)
@@ -353,15 +343,18 @@ def train_member(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     # Minibatches are consecutive slices of each epoch's shuffled rows;
-    # only the last one may be short.
+    # only the last one may be short, and it gets work arrays of its own.
     full = _Scratch(hyper.batch_size, hidden_size)
-    batches = []
-    for start in range(0, n_train, hyper.batch_size):
-        rows = min(hyper.batch_size, n_train - start)
-        batches.append((slice(start, start + rows), full.head(rows)))
+    short = n_train % hyper.batch_size
+    batches = [
+        (slice(start, start + hyper.batch_size), full)
+        for start in range(0, n_train - short, hyper.batch_size)
+    ]
+    if short:
+        batches.append((slice(n_train - short, n_train), _Scratch(short, hidden_size)))
 
     best = member
-    best_val = _eval_nll(best, x_val, y_val, clamp)
+    best_val = _eval_nll(params, x_val, y_val, clamp)
     best_epoch = 0
     log: list[tuple[int, float]] = []
     keep = 1.0 - hyper.dropout_rate
@@ -403,7 +396,7 @@ def train_member(
             np.divide(np.multiply(moment1, scale, out=work2), work1, out=work2)
             np.subtract(theta, work2, out=theta)
 
-        val_nll = _eval_nll(state, x_val, y_val, clamp)
+        val_nll = _eval_nll(params, x_val, y_val, clamp)
         if not np.isfinite(val_nll):
             raise TrainingError(
                 f"non-finite validation loss at epoch {epoch} (seed {member.rng_seed})"
