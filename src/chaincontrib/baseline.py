@@ -196,19 +196,22 @@ def _draw_coalitions(
     describes: every proper coalition, or ``sample_count`` merged draws."""
     if 2**d - 2 <= sample_count:
         masks = _all_coalitions(d)[1:-1]
-        sizes = masks.sum(axis=1)
-        weights = np.array([shapley_kernel_weight(d, int(s)) for s in sizes])
-        return masks, weights
+        size_weight = np.array([shapley_kernel_weight(d, s) for s in range(1, d)])
+        return masks, size_weight[masks.sum(axis=1) - 1]
     rng = np.random.default_rng(seed)
     size_mass = np.array([(d - 1) / (s * (d - s)) for s in range(1, d)])
     size_prob = size_mass / size_mass.sum()
     sizes_drawn = rng.choice(np.arange(1, d), size=sample_count, p=size_prob)
-    drawn = np.zeros((sample_count, d), dtype=bool)
-    for row, s in zip(drawn, sizes_drawn):
-        row[rng.choice(d, size=int(s), replace=False)] = True
-    # Repeated coalitions merge into one row weighted by its count.
-    masks, counts = np.unique(drawn, axis=0, return_counts=True)
-    return masks, counts.astype(float)
+    # Each draw keeps the features holding its s smallest random keys.
+    ranked = np.argsort(rng.random((sample_count, d)), axis=1)
+    drawn = np.empty((sample_count, d), dtype=bool)
+    np.put_along_axis(drawn, ranked, np.arange(d) < sizes_drawn[:, None], axis=1)
+    # Repeated coalitions merge into one row weighted by its count. Packed
+    # rows compare bytewise in the order np.unique(drawn, axis=0) sorts.
+    packed = np.packbits(drawn, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return drawn[first], counts.astype(float)
 
 
 def _solve_attribution(
@@ -302,10 +305,13 @@ def kernel_shap(
     """Per-feature attribution of f(instance) - f(background mean).
 
     Coalitions are enumerated completely when the budget covers all
-    2^d - 2 proper subsets, otherwise sampled by coalition size with
-    probabilities proportional to the total kernel mass of each size.
-    Deterministic for a fixed seed. This is the one-instance case of the
-    estimator behind :func:`explain_central`.
+    2^d - 2 proper subsets. Otherwise ``sample_count`` sizes are drawn
+    with probabilities proportional to the total kernel mass of each
+    size, then one uniform key per feature and draw; each draw keeps the
+    features with its s smallest keys, a uniformly random coalition of
+    that size. Repeated coalitions merge into one row weighted by their
+    count. Deterministic for a fixed seed. This is the one-instance case
+    of the estimator behind :func:`explain_central`.
     """
     instance = np.asarray(instance, dtype=float).reshape(1, -1)
     background = np.atleast_2d(np.asarray(background, dtype=float))
