@@ -22,8 +22,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import select
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -48,6 +50,7 @@ from chaincontrib.dataset import (
     build_metric_series,
     clean_measurements,
     generate_synthetic,
+    load_actor_dataset,
     load_actor_datasets,
     load_csv,
     make_noise_actor,
@@ -351,10 +354,14 @@ def _parse_listen(value: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _spawn_actor(
+# Seconds the socket route waits, in all, for its actors' LISTENING lines.
+SPAWN_TIMEOUT_S = 60.0
+
+
+def _actor_command(
     actor_dir: Path, actor_id: str, seed: int, min_overlap: int
-) -> tuple[subprocess.Popen, tuple[str, int]]:
-    command = [
+) -> list[str]:
+    return [
         sys.executable,
         "-m",
         "chaincontrib",
@@ -370,14 +377,32 @@ def _spawn_actor(
         "--min-overlap",
         str(min_overlap),
     ]
-    proc = subprocess.Popen(command, stdout=subprocess.PIPE, text=True)
-    line = proc.stdout.readline().strip()
-    if not line.startswith("LISTENING "):
-        proc.terminate()
-        proc.wait(timeout=10)
-        raise CampaignError(f"actor {actor_id} failed to start (got {line!r})")
-    _, host, port = line.split()
-    return proc, (host, int(port))
+
+
+def _spawn_actors(
+    config: RunConfig, actor_ids: Sequence[str], processes: list[subprocess.Popen]
+) -> list[tuple[str, int]]:
+    """Start every actor process at once, then read each one's address.
+
+    Each started process is appended to ``processes`` straight away, so
+    the caller stops all of them when any fails or stays silent.
+    """
+    for actor_id in actor_ids:
+        command = _actor_command(
+            config.actor_dir, actor_id, config.seed, config.campaign.min_overlap
+        )
+        processes.append(subprocess.Popen(command, stdout=subprocess.PIPE, text=True))
+    give_up = time.monotonic() + SPAWN_TIMEOUT_S
+    endpoints = []
+    for actor_id, proc in zip(actor_ids, processes):
+        wait = max(0.0, give_up - time.monotonic())
+        ready, _, _ = select.select([proc.stdout], [], [], wait)
+        line = proc.stdout.readline().strip() if ready else ""
+        if not line.startswith("LISTENING "):
+            raise CampaignError(f"actor {actor_id} failed to start (got {line!r})")
+        _, host, port = line.split()
+        endpoints.append((host, int(port)))
+    return endpoints
 
 
 def cmd_run_decentralised(config: RunConfig) -> int:
@@ -397,13 +422,7 @@ def cmd_run_decentralised(config: RunConfig) -> int:
             ]
             transport = InProcessTransport(actors)
         else:
-            endpoints = []
-            for ds in datasets:
-                proc, endpoint = _spawn_actor(
-                    config.actor_dir, ds.actor_id, config.seed, cc.min_overlap
-                )
-                processes.append(proc)
-                endpoints.append(endpoint)
+            endpoints = _spawn_actors(config, [ds.actor_id for ds in datasets], processes)
             transport = SocketTransport(endpoints)
 
         ranking, log = run_campaign(
@@ -424,6 +443,8 @@ def cmd_run_decentralised(config: RunConfig) -> int:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     ranking_path = out / "ranking.csv"
     ranking.to_csv(ranking_path)
@@ -491,15 +512,8 @@ def cmd_compare(config: RunConfig) -> int:
 
 def cmd_actor(args: argparse.Namespace) -> int:
     host, port = _parse_listen(args.listen)
-    datasets = load_actor_datasets(Path(args.data))
-    matches = [ds for ds in datasets if ds.actor_id == args.actor_id]
-    if not matches:
-        raise ConfigError(
-            f"actor {args.actor_id!r} not found in {args.data} "
-            f"(available: {', '.join(ds.actor_id for ds in datasets)})"
-        )
     server = ActorServer(
-        matches[0],
+        load_actor_dataset(Path(args.data), args.actor_id),
         base_seed=args.seed,
         host=host,
         port=port,

@@ -583,28 +583,41 @@ def save_actor_datasets(datasets: Sequence[ActorDataset], out_dir: str | Path) -
         fh.write("\n")
 
 
-def load_actor_datasets(in_dir: str | Path) -> list[ActorDataset]:
-    """Read back the datasets written by :func:`save_actor_datasets`."""
-    in_dir = Path(in_dir)
+def _read_manifest(in_dir: Path) -> list[dict]:
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {in_dir}")
     with manifest_path.open(encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    datasets = []
-    for entry in manifest["actors"]:
-        table = load_csv(in_dir / entry["file"], id_column="part_id")
-        if list(table.columns) != entry["columns"]:
-            raise ParseError(
-                f"{entry['file']}: columns do not match the manifest"
-            )
-        datasets.append(
-            ActorDataset(
-                actor_id=entry["actor_id"],
-                part_ids=table.ids,
-                columns=table.columns,
-                features=table.values,
-                shared_flags=tuple(bool(f) for f in entry["shared_flags"]),
-            )
-        )
-    return datasets
+        return json.load(fh)["actors"]
+
+
+def _load_entry(in_dir: Path, entry: dict) -> ActorDataset:
+    table = load_csv(in_dir / entry["file"], id_column="part_id")
+    if list(table.columns) != entry["columns"]:
+        raise ParseError(f"{entry['file']}: columns do not match the manifest")
+    return ActorDataset(
+        actor_id=entry["actor_id"],
+        part_ids=table.ids,
+        columns=table.columns,
+        features=table.values,
+        shared_flags=tuple(bool(f) for f in entry["shared_flags"]),
+    )
+
+
+def load_actor_dataset(in_dir: str | Path, actor_id: str) -> ActorDataset:
+    """Read one actor's dataset: the manifest and that actor's file only."""
+    in_dir = Path(in_dir)
+    entries = _read_manifest(in_dir)
+    for entry in entries:
+        if entry["actor_id"] == actor_id:
+            return _load_entry(in_dir, entry)
+    raise ValueError(
+        f"actor {actor_id!r} not found in {in_dir} "
+        f"(available: {', '.join(e['actor_id'] for e in entries)})"
+    )
+
+
+def load_actor_datasets(in_dir: str | Path) -> list[ActorDataset]:
+    """Read back the datasets written by :func:`save_actor_datasets`."""
+    in_dir = Path(in_dir)
+    return [_load_entry(in_dir, entry) for entry in _read_manifest(in_dir)]

@@ -11,6 +11,12 @@ estimated contribution.
 Messages travel as newline-delimited UTF-8 JSON frames. The in-process
 transport routes through the very same codec as the socket transport,
 so transport independence is structural, not incidental.
+
+A transport's ``request(call, local)`` also runs the coordinator's own
+share of the call, ``local()`` (the noise baseline), on the calling
+thread. The in-process transport runs it after the actors; the socket
+transport runs it while its peers train, so a socket campaign takes
+about as long as its slowest actor rather than that plus one ensemble.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ import logging
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -50,6 +57,10 @@ DEFAULT_NOISE_FEATURES = 5
 # rows is about 0.7 MB. A longer frame is read only up to this size, so it
 # lacks its newline and fails to decode as truncated.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+# A campaign issues exactly one call; replies must carry its id.
+CALL_ID = "call-000001"
+
+_T = TypeVar("_T")
 
 
 class DecodeError(ValueError):
@@ -227,36 +238,20 @@ def decode_message(data: bytes) -> Message:
     raise DecodeError("unknown-kind", repr(kind))
 
 
-class Coordinator:
-    """Issues calls and remembers them for response matching."""
-
-    def __init__(self) -> None:
-        self._counter = 0
-        self._calls: dict[str, MetricTransform | None] = {}
-
-    def issue_call(
-        self,
-        metric: MetricSeries,
-        transform: MetricTransform | None,
-        hyper: EnsembleHyper,
-        deadline: float,
-    ) -> CallForUncertainty:
-        if len(metric) == 0:
-            raise ValueError("cannot issue a call on an empty metric")
-        if transform is not None:
-            metric = apply_transform(metric, transform)
-        self._counter += 1
-        call_id = f"call-{self._counter:06d}"
-        self._calls[call_id] = transform
-        return CallForUncertainty(
-            call_id=call_id,
-            metric=metric,
-            hyper=hyper,
-            response_deadline=deadline,
-        )
-
-    def knows(self, call_id: str) -> bool:
-        return call_id in self._calls
+def issue_call(
+    metric: MetricSeries,
+    transform: MetricTransform | None,
+    hyper: EnsembleHyper,
+    deadline: float,
+) -> CallForUncertainty:
+    """The one call of a campaign, on the (optionally transformed) metric."""
+    if len(metric) == 0:
+        raise ValueError("cannot issue a call on an empty metric")
+    if transform is not None:
+        metric = apply_transform(metric, transform)
+    return CallForUncertainty(
+        call_id=CALL_ID, metric=metric, hyper=hyper, response_deadline=deadline
+    )
 
 
 def handle_call(
@@ -488,7 +483,10 @@ class InProcessTransport:
         self.actors = list(actors)
         self.transcript: list[TranscriptEntry] = []
 
-    def request(self, call: CallForUncertainty) -> list[ActorOutcome]:
+    def request(
+        self, call: CallForUncertainty, local: Callable[[], _T]
+    ) -> tuple[list[ActorOutcome], _T]:
+        """Ask each actor in turn, then run ``local()``, all on this thread."""
         frame = encode_message(call)
         outcomes = []
         for actor in self.actors:
@@ -500,7 +498,7 @@ class InProcessTransport:
             if not isinstance(reply, (UncertaintyResponse, Decline)):
                 raise DecodeError("unknown-kind", "actor sent a non-reply frame")
             outcomes.append(ActorOutcome(peer=peer, message=reply))
-        return outcomes
+        return outcomes, local()
 
 
 class SocketTransport:
@@ -540,13 +538,23 @@ class SocketTransport:
             return ActorOutcome(peer=peer, message=None, detail="non-reply frame")
         return ActorOutcome(peer=peer, message=reply)
 
-    def request(self, call: CallForUncertainty) -> list[ActorOutcome]:
+    def request(
+        self, call: CallForUncertainty, local: Callable[[], _T]
+    ) -> tuple[list[ActorOutcome], _T]:
+        """Query every peer at once and run ``local()`` here while they work.
+
+        Outcomes come back in endpoint order. If ``local`` raises, its
+        error propagates once every query has ended.
+        """
         frame = encode_message(call)
         deadline = call.response_deadline
         with ThreadPoolExecutor(max_workers=len(self.endpoints)) as pool:
-            return list(
-                pool.map(lambda ep: self._query_one(ep, frame, deadline), self.endpoints)
-            )
+            pending = [
+                pool.submit(self._query_one, endpoint, frame, deadline)
+                for endpoint in self.endpoints
+            ]
+            mine = local()
+            return [future.result() for future in pending], mine
 
 
 class ActorServer:
@@ -640,14 +648,26 @@ def run_campaign(
 ) -> tuple[ContributionRanking, dict]:
     """One full call-and-rank round over the given transport.
 
+    The coordinator's noise baseline is handed to the transport as its
+    own share of the call: the socket transport trains it while the
+    actors train theirs. A failing noise baseline therefore raises its
+    ``CampaignError`` even when every actor declined as well.
+
     Timeouts and unreachable endpoints count as declines. The result is a
     pure function of (metric, actor membership, hyper, seeds): per-actor
     seeds are derived from actor ids, and outcomes are sorted before
     ranking, so arrival order cannot matter.
     """
-    coordinator = Coordinator()
-    call = coordinator.issue_call(metric, transform, hyper, deadline)
-    outcomes = transport.request(call)
+    call = issue_call(metric, transform, hyper, deadline)
+    outcomes, noise = transport.request(
+        call,
+        partial(
+            run_noise_baseline,
+            call,
+            feature_count=noise_feature_count,
+            seed=derive_seed(base_seed, NOISE_ACTOR_ID),
+        ),
+    )
 
     responses: list[UncertaintyResponse] = []
     log: dict = {
@@ -670,11 +690,6 @@ def run_campaign(
         raise CampaignError("every actor declined or timed out; nothing to rank")
 
     responses.sort(key=lambda r: r.actor_id)
-    noise = run_noise_baseline(
-        call,
-        feature_count=noise_feature_count,
-        seed=derive_seed(base_seed, NOISE_ACTOR_ID),
-    )
     ranking = rank_contributions(responses, noise, slack=slack)
     log["responses"] = [
         {"actor_id": r.actor_id, "total_uncertainty": r.total_uncertainty}

@@ -7,11 +7,15 @@ from __future__ import annotations
 import csv
 import json
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chaincontrib import cli
 from chaincontrib.cli import main, parse_config
 from chaincontrib.dataset import NOISE_ACTOR_ID, MetricSeries
 
@@ -326,7 +330,8 @@ def test_socket_transport_matches_in_process(tmp_path) -> None:
     path = write_config(tmp_path)
     synth_then(tmp_path, path)
     assert run("run-decentralised", "--config", str(path)) == 0
-    in_process = (tmp_path / "run" / "decentralised" / "ranking.csv").read_bytes()
+    names = ("ranking.csv", "campaign_log.json")
+    in_process = [(tmp_path / "run" / "decentralised" / n).read_bytes() for n in names]
     # Same data directory, same seed, different transport and out dir.
     raw = json.loads(path.read_text())
     raw["transport"] = "sockets"
@@ -338,8 +343,35 @@ def test_socket_transport_matches_in_process(tmp_path) -> None:
     sock_path = tmp_path / "sock.json"
     sock_path.write_text(json.dumps(raw))
     assert run("run-decentralised", "--config", str(sock_path)) == 0
-    socket_bytes = (tmp_path / "run_sock" / "decentralised" / "ranking.csv").read_bytes()
+    socket_bytes = [(tmp_path / "run_sock" / "decentralised" / n).read_bytes() for n in names]
     assert socket_bytes == in_process
+
+
+def test_silent_socket_actor_exits_three_and_leaves_no_child(
+    tmp_path, monkeypatch
+) -> None:
+    path = write_config(tmp_path, transport="sockets")
+    synth_then(tmp_path, path)
+    # Stand-in actors that start but never print LISTENING.
+    monkeypatch.setattr(
+        cli,
+        "_actor_command",
+        lambda *_: [sys.executable, "-c", "import time; time.sleep(60)"],
+    )
+    monkeypatch.setattr(cli, "SPAWN_TIMEOUT_S", 1.0)
+    spawned = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(cli.subprocess, "Popen", recording_popen)
+    started = time.monotonic()
+    assert run("run-decentralised", "--config", str(path)) == 3
+    assert time.monotonic() - started < 10.0
+    assert len(spawned) == 3  # every actor started before the wait
+    assert all(proc.poll() is not None for proc in spawned)
 
 
 # ------------------------------------------------------------------- central

@@ -19,6 +19,7 @@ from chaincontrib.dataset import (
     build_metric_series,
     clean_measurements,
     generate_synthetic,
+    load_actor_dataset,
     load_actor_datasets,
     load_csv,
     make_noise_actor,
@@ -597,3 +598,32 @@ class TestSaveLoadActorDatasets:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_actor_datasets(tmp_path)
+
+    def save_two_actors(self, out_dir):
+        spec = SyntheticSpec(
+            actor_count=2,
+            features_per_actor=2,
+            signal_weights=(1.0, 1.0),
+            noise_std=0.5,
+            row_count=200,
+            seed=4,
+        )
+        save_actor_datasets(generate_synthetic(spec)[0], out_dir)
+
+    def test_one_actor_loads_only_its_own_file(self, tmp_path):
+        self.save_two_actors(tmp_path)
+        whole = load_actor_datasets(tmp_path)[0]
+        (tmp_path / "actor-2.csv").write_text("part_id,x\nP1,not-a-number\n")
+        with pytest.raises(ParseError):
+            load_actor_datasets(tmp_path)
+        alone = load_actor_dataset(tmp_path, "actor-1")
+        assert alone.actor_id == whole.actor_id == "actor-1"
+        assert alone.part_ids == whole.part_ids
+        assert alone.columns == whole.columns
+        assert alone.shared_flags == whole.shared_flags
+        np.testing.assert_array_equal(alone.features, whole.features)
+
+    def test_unknown_actor_names_the_ones_found(self, tmp_path):
+        self.save_two_actors(tmp_path)
+        with pytest.raises(ValueError, match="'nobody'.*actor-1, actor-2"):
+            load_actor_dataset(tmp_path, "nobody")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from chaincontrib.protocol import (
     CallForUncertainty,
     CampaignError,
     ContributionRanking,
-    Coordinator,
     DecodeError,
     Decline,
     InProcessTransport,
@@ -39,6 +39,7 @@ from chaincontrib.protocol import (
     derive_seed,
     encode_message,
     handle_call,
+    issue_call,
     rank_contributions,
     run_campaign,
     run_noise_baseline,
@@ -124,16 +125,8 @@ class TestMetricTransform:
 class TestCoordinator:
     def test_call_carries_metric_verbatim_without_transform(self):
         metric = small_metric(100)
-        call = Coordinator().issue_call(metric, None, FAST_HYPER, deadline=5.0)
+        call = issue_call(metric, None, FAST_HYPER, deadline=5.0)
         assert call.metric == metric
-
-    def test_successive_calls_get_distinct_ids(self):
-        coordinator = Coordinator()
-        metric = small_metric()
-        a = coordinator.issue_call(metric, None, FAST_HYPER, 5.0)
-        b = coordinator.issue_call(metric, None, FAST_HYPER, 5.0)
-        assert a.call_id != b.call_id
-        assert coordinator.knows(a.call_id) and coordinator.knows(b.call_id)
 
     def test_standardising_transform(self):
         rng = np.random.default_rng(1)
@@ -142,14 +135,14 @@ class TestCoordinator:
             part_ids=tuple(f"P{i}" for i in range(200)), values=values
         )
         t = MetricTransform(scale=1.0 / values.std(), offset=-values.mean() / values.std())
-        call = Coordinator().issue_call(metric, t, FAST_HYPER, 5.0)
+        call = issue_call(metric, t, FAST_HYPER, 5.0)
         assert call.metric.values.mean() == pytest.approx(0.0, abs=1e-12)
         assert call.metric.values.std() == pytest.approx(1.0)
 
     def test_empty_metric_rejected(self):
         empty = MetricSeries(part_ids=(), values=np.array([]))
         with pytest.raises(ValueError, match="empty"):
-            Coordinator().issue_call(empty, None, FAST_HYPER, 5.0)
+            issue_call(empty, None, FAST_HYPER, 5.0)
 
 
 class TestCodec:
@@ -529,8 +522,9 @@ class TestInProcessCampaign:
     )
     def test_reply_to_another_call_rejected(self, reply):
         class StaleTransport:
-            def request(self, call):
-                return [ActorOutcome(peer="alpha", message=reply)]
+            def request(self, call, local):
+                # The stale reply is refused before the noise floor is read.
+                return [ActorOutcome(peer="alpha", message=reply)], None
 
         with pytest.raises(CampaignError, match="different call"):
             run_campaign(StaleTransport(), small_metric(), None, FAST_HYPER, base_seed=1)
@@ -618,16 +612,40 @@ class TestInProcessCampaign:
             )
             sd = float(metric.values.std())
             actor = datasets[0]
-            call_base = Coordinator().issue_call(
+            call_base = issue_call(
                 metric, MetricTransform(scale=1.0 / sd), self.RESCALE_HYPER, 30.0
             )
-            call_half = Coordinator().issue_call(
+            call_half = issue_call(
                 metric, MetricTransform(scale=0.5 / sd), self.RESCALE_HYPER, 30.0
             )
             base = handle_call(actor, call_base, base_seed=seed)
             half = handle_call(actor, call_half, base_seed=seed)
             ratios.append(half.total_uncertainty / base.total_uncertainty)
         assert 0.15 < float(np.median(ratios)) < 0.4
+
+
+@pytest.mark.parametrize("route", ["in-process", "sockets"])
+def test_noise_failure_outranks_declines(route):
+    datasets, _ = synth_actors()
+    # Fewer parts than the default overlap, so the noise actor declines too.
+    metric = small_metric()
+    with ExitStack() as stack:
+        if route == "in-process":
+            transport = InProcessTransport(
+                [LocalActor(dataset=d, base_seed=1, always_decline=True) for d in datasets]
+            )
+        else:
+            servers = [
+                stack.enter_context(ActorServer(d, base_seed=1, always_decline=True))
+                for d in datasets
+            ]
+            transport = SocketTransport([s.address for s in servers])
+        threads = threading.active_count()
+        with pytest.raises(CampaignError, match="noise baseline"):
+            run_campaign(transport, metric, None, FAST_HYPER, base_seed=1)
+        assert threading.active_count() == threads
+    received = [t for t in transport.transcript if t.direction == "received"]
+    assert len(received) == len(datasets)
 
 
 class TestSocketTransport:
@@ -768,6 +786,37 @@ class TestSocketTransport:
             reply = decode_message(self.ask(server, frame))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
 
+    def test_local_share_runs_while_peers_work(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        local_ran = threading.Event()
+        call = example_call(deadline=3.0)
+        reply = UncertaintyResponse("alpha", call.call_id, 0.5)
+
+        def patient_peer() -> None:
+            # Answers only after the coordinator's own share has run; had
+            # the transport run it after the query, the query would time out.
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                stream.readline()
+                if local_ran.wait(timeout=10.0):
+                    conn.sendall(encode_message(reply))
+
+        def local() -> str:
+            local_ran.set()
+            return "floor"
+
+        peer = threading.Thread(target=patient_peer, daemon=True)
+        peer.start()
+        try:
+            transport = SocketTransport([listener.getsockname()[:2]])
+            [outcome], mine = transport.request(call, local)
+        finally:
+            peer.join(timeout=10.0)
+            listener.close()
+        assert not peer.is_alive()
+        assert mine == "floor"
+        assert outcome.message == reply
+
     def test_oversized_reply_counts_as_failed_peer(self):
         listener = socket.create_server(("127.0.0.1", 0))
         reply = b"x" * (protocol.MAX_FRAME_BYTES + 1) + b"\n"
@@ -785,7 +834,7 @@ class TestSocketTransport:
         peer.start()
         try:
             transport = SocketTransport([listener.getsockname()[:2]])
-            [outcome] = transport.request(example_call())
+            [outcome], _ = transport.request(example_call(), lambda: None)
         finally:
             peer.join(timeout=10.0)
             listener.close()
