@@ -50,6 +50,7 @@ from chaincontrib.dataset import (
     build_metric_series,
     clean_measurements,
     generate_synthetic,
+    list_actor_ids,
     load_actor_dataset,
     load_actor_datasets,
     load_csv,
@@ -406,11 +407,8 @@ def _spawn_actors(
 
 
 def cmd_run_decentralised(config: RunConfig) -> int:
-    datasets = load_actor_datasets(config.actor_dir)
     metric = MetricSeries.from_csv(config.metric_path)
     transform = _unit_spread_transform(metric)
-    out = config.out / "decentralised"
-    out.mkdir(parents=True, exist_ok=True)
     cc = config.campaign
 
     processes: list[subprocess.Popen] = []
@@ -418,11 +416,13 @@ def cmd_run_decentralised(config: RunConfig) -> int:
         if config.transport == "in-process":
             actors = [
                 LocalActor(dataset=ds, base_seed=config.seed, min_overlap=cc.min_overlap)
-                for ds in datasets
+                for ds in load_actor_datasets(config.actor_dir)
             ]
             transport = InProcessTransport(actors)
         else:
-            endpoints = _spawn_actors(config, [ds.actor_id for ds in datasets], processes)
+            # Each actor process reads its own file; the coordinator reads
+            # only the actor ids in the manifest.
+            endpoints = _spawn_actors(config, list_actor_ids(config.actor_dir), processes)
             transport = SocketTransport(endpoints)
 
         ranking, log = run_campaign(
@@ -446,6 +446,8 @@ def cmd_run_decentralised(config: RunConfig) -> int:
                 proc.wait()
             proc.stdout.close()
 
+    out = config.out / "decentralised"
+    out.mkdir(parents=True, exist_ok=True)
     ranking_path = out / "ranking.csv"
     ranking.to_csv(ranking_path)
     log_path = out / "campaign_log.json"

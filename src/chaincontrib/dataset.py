@@ -617,6 +617,11 @@ def load_actor_dataset(in_dir: str | Path, actor_id: str) -> ActorDataset:
     )
 
 
+def list_actor_ids(in_dir: str | Path) -> list[str]:
+    """The actor ids in a dataset directory, from its manifest alone."""
+    return [entry["actor_id"] for entry in _read_manifest(Path(in_dir))]
+
+
 def load_actor_datasets(in_dir: str | Path) -> list[ActorDataset]:
     """Read back the datasets written by :func:`save_actor_datasets`."""
     in_dir = Path(in_dir)

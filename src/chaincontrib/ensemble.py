@@ -11,10 +11,9 @@ reports.
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -132,35 +131,39 @@ def _check_arity(batch: np.ndarray, input_size: int) -> None:
 
 
 def _parameter_views(flat: np.ndarray, input_size: int, hidden_size: int) -> tuple:
-    """(w1, b1, w2, b2) as views into one vector in parameter_vector() order."""
+    """(w1, b1, w2, b2) as views, with a leading member axis, into an
+    (M, P) array whose rows are in parameter_vector() order."""
+    count = flat.shape[0]
     w1_end = input_size * hidden_size
     b1_end = w1_end + hidden_size
     w2_end = b1_end + 2 * hidden_size
     return (
-        flat[:w1_end].reshape(input_size, hidden_size),
-        flat[w1_end:b1_end],
-        flat[b1_end:w2_end].reshape(hidden_size, 2),
-        flat[w2_end:],
+        flat[:, :w1_end].reshape(count, input_size, hidden_size),
+        flat[:, w1_end:b1_end],
+        flat[:, b1_end:w2_end].reshape(count, hidden_size, 2),
+        flat[:, w2_end:],
     )
 
 
 def _forward_into(params, batch, hidden, out, active=None, dropout_mask=None) -> None:
     """The network's only forward pass, written into preallocated arrays.
 
-    ``params`` is (w1, b1, w2, b2). ``hidden`` receives the rectified
-    hidden layer (times the dropout mask, if any) and ``out`` the two
-    heads; ``active`` marks where the rectifier passes gradient.
+    ``params`` is (w1, b1, w2, b2) of one member, or stacked as from
+    ``_parameter_views`` with one batch for all members or one each.
+    ``hidden`` receives the rectified hidden layer (times the dropout
+    mask, if any) and ``out`` the two heads; ``active`` marks where the
+    rectifier passes gradient.
     """
     w1, b1, w2, b2 = params
     np.matmul(batch, w1, out=hidden)
-    np.add(hidden, b1, out=hidden)
+    np.add(hidden, b1[..., None, :], out=hidden)
     np.maximum(hidden, 0.0, out=hidden)
     if active is not None:
         np.greater(hidden, 0.0, out=active)
     if dropout_mask is not None:
         np.multiply(hidden, dropout_mask, out=hidden)
     np.matmul(hidden, w2, out=out)
-    np.add(out, b2, out=out)
+    np.add(out, b2[..., None, :], out=out)
 
 
 def forward(
@@ -194,42 +197,49 @@ def nll_loss(mean, log_var, target):
 
 
 class _Scratch:
-    """Work arrays of the gradient kernel for batches of one row count.
+    """Work arrays of the gradient kernel for a batch of ``rows`` rows for
+    each of ``members`` members, indexed (member, batch row, ...)."""
 
-    The first axis of every array is the batch row.
-    """
-
-    def __init__(self, rows: int, hidden_size: int):
-        self.hidden, self.d_hidden, self.dropout = np.empty((3, rows, hidden_size))
-        self.active, self.kept = np.empty((2, rows, hidden_size), dtype=bool)
-        self.out, self.d_out = np.empty((2, rows, 2))
-        self.mean, self.raw = self.out[:, 0], self.out[:, 1]
-        self.d_mean, self.d_log_var = self.d_out[:, 0], self.d_out[:, 1]
+    def __init__(self, members: int, rows: int, hidden_size: int):
+        shape = (members, rows, hidden_size)
+        self.hidden, self.d_hidden, self.dropout = np.empty((3, *shape))
+        self.member_dropout = list(self.dropout)  # each member's mask slot
+        self.active, self.kept = np.empty((2, *shape), dtype=bool)
+        self.out, self.d_out = np.empty((2, members, rows, 2))
+        # The per-row terms are flat over (member, row): numpy runs a flat
+        # strided column of the heads faster than a 2-d one.
+        self.mean, self.raw = self.out.reshape(-1, 2).T
+        self.d_mean, self.d_log_var = self.d_out.reshape(-1, 2).T
         self.log_var, self.negated, self.inv_var, self.residual, self.fit, self.terms = (
-            np.empty((6, rows))
+            np.empty((6, members * rows))
         )
-        self.inside, self.below = np.empty((2, rows), dtype=bool)
+        self.inside, self.below = np.empty((2, members * rows), dtype=bool)
+        self.total = np.empty(members)
 
 
-def _loss_into(params, grads, batch, y, clamp, dropout_mask, s: _Scratch) -> float:
-    """Mean NLL over a batch; writes its analytic gradients into ``grads``.
+def _loss_into(params, grads, batch, y, clamp, dropout_mask, s: _Scratch) -> list[float]:
+    """Each member's mean NLL over its batch; writes the analytic gradients
+    into ``grads``.
 
-    The only gradient code: ``loss_and_gradients`` and ``train_member``
-    both call it. ``params`` and ``grads`` are (w1, b1, w2, b2); ``s``
-    holds work arrays for exactly ``len(batch)`` rows. Inputs are not
-    checked here.
+    The only gradient code: ``loss_and_gradients`` and ``_train_lockstep``
+    both call it. ``params`` and ``grads`` are stacked (w1, b1, w2, b2),
+    ``batch`` is (members, rows, inputs) and ``y`` (members, rows); ``s``
+    fits exactly that shape. Every product and sum runs per member, in the
+    one-member order. Inputs are not checked here.
     """
-    n = batch.shape[0]
+    members, n = y.shape
     lo, hi = clamp
     _forward_into(params, batch, s.hidden, s.out, s.active, dropout_mask)
     log_var = np.minimum(np.maximum(s.raw, lo, out=s.log_var), hi, out=s.log_var)
     inv_var = np.exp(np.negative(log_var, out=s.negated), out=s.inv_var)
-    residual = np.subtract(s.mean, y, out=s.residual)
+    residual = s.residual
+    np.subtract(s.out[..., 0], y, out=residual.reshape(members, n))
     # fit = 0.5 * residual**2 * inv_var, the precision-weighted error term.
     fit = np.multiply(np.square(residual, out=s.fit), 0.5, out=s.fit)
     np.multiply(fit, inv_var, out=fit)
     terms = np.add(np.multiply(log_var, 0.5, out=s.terms), fit, out=s.terms)
-    loss = float(np.add.reduce(terms) / n)
+    totals = np.add.reduce(terms.reshape(members, n), axis=1, out=s.total)
+    losses = [total / n for total in totals.tolist()]
 
     np.divide(np.multiply(residual, inv_var, out=s.d_mean), n, out=s.d_mean)
     np.divide(np.subtract(0.5, fit, out=s.d_log_var), n, out=s.d_log_var)
@@ -240,15 +250,15 @@ def _loss_into(params, grads, batch, y, clamp, dropout_mask, s: _Scratch) -> flo
 
     w2 = params[2]
     grad_w1, grad_b1, grad_w2, grad_b2 = grads
-    np.matmul(s.hidden.T, s.d_out, out=grad_w2)
-    np.add.reduce(s.d_out, axis=0, out=grad_b2)
-    d_pre = np.matmul(s.d_out, w2.T, out=s.d_hidden)
+    np.matmul(s.hidden.mT, s.d_out, out=grad_w2)
+    np.add.reduce(s.d_out, axis=1, out=grad_b2)
+    d_pre = np.matmul(s.d_out, w2.mT, out=s.d_hidden)
     if dropout_mask is not None:
         np.multiply(d_pre, dropout_mask, out=d_pre)
     np.multiply(d_pre, s.active, out=d_pre)
-    np.matmul(batch.T, d_pre, out=grad_w1)
-    np.add.reduce(d_pre, axis=0, out=grad_b1)
-    return loss
+    np.matmul(batch.mT, d_pre, out=grad_w1)
+    np.add.reduce(d_pre, axis=1, out=grad_b1)
+    return losses
 
 
 def loss_and_gradients(
@@ -270,14 +280,14 @@ def loss_and_gradients(
         raise ValueError("features and targets disagree on row count")
     input_size, hidden_size = member.w1.shape
     _check_arity(batch, input_size)
-    params = (member.w1, member.b1, member.w2, member.b2)
-    grads = _parameter_views(
-        np.empty(sum(p.size for p in params)), input_size, hidden_size
-    )
-    loss = _loss_into(
-        params, grads, batch, y, clamp, dropout_mask, _Scratch(n, hidden_size)
-    )
-    return loss, dict(zip(("w1", "b1", "w2", "b2"), grads))
+    # The one-member case of the stacked kernel.
+    theta = member.parameter_vector()[None]
+    grad = np.empty_like(theta)
+    params, grads = (_parameter_views(a, input_size, hidden_size) for a in (theta, grad))
+    mask = None if dropout_mask is None else np.asarray(dropout_mask, dtype=float)[None]
+    s = _Scratch(1, n, hidden_size)
+    (loss,) = _loss_into(params, grads, batch[None], y[None], clamp, mask, s)
+    return loss, dict(zip(("w1", "b1", "w2", "b2"), (g[0] for g in grads)))
 
 
 def _chronological_split(row_count: int, validation_fraction: float) -> tuple[slice, slice]:
@@ -288,11 +298,157 @@ def _chronological_split(row_count: int, validation_fraction: float) -> tuple[sl
 
 
 def _eval_nll(params, features: np.ndarray, targets: np.ndarray, clamp) -> float:
-    hidden = np.empty((features.shape[0], params[1].shape[0]))
+    hidden = np.empty((features.shape[0], params[0].shape[1]))
     out = np.empty((features.shape[0], 2))
     _forward_into(params, features, hidden, out)
     log_var = np.clip(out[:, 1], clamp[0], clamp[1])
     return float(np.mean(nll_loss(out[:, 0], log_var, targets)))
+
+
+def _train_lockstep(
+    members: Sequence[Member],
+    features: np.ndarray,
+    targets: np.ndarray,
+    hyper: EnsembleHyper,
+) -> tuple[tuple[Member, ...], list[list[tuple[int, float]]]]:
+    """Train members of one layout together with minibatch adaptive-moment
+    descent; returns the trained members and their validation logs.
+
+    The last ``validation_fraction`` of the rows (chronological order) is
+    held out. A member stops once its validation NLL has not strictly
+    improved for ``patience_epochs`` epochs and gets back the parameters of
+    its best validation epoch. All members step in lockstep, one stacked
+    kernel call per minibatch, but each shuffles and draws dropout masks
+    from its own stream: its result depends only on its seed, the data
+    and ``hyper``.
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    n = features.shape[0]
+    if targets.shape[0] != n:
+        raise ValueError("features and targets disagree on row count")
+    input_size, hidden_size = members[0].w1.shape
+    _check_arity(features, input_size)
+    train_slice, val_slice = _chronological_split(n, hyper.validation_fraction)
+    x_train, y_train = features[train_slice], targets[train_slice]
+    x_val, y_val = features[val_slice], targets[val_slice]
+    n_train, size = x_train.shape[0], hyper.batch_size
+    if n_train < 2 * size:
+        raise ValueError(
+            f"{n_train} training rows after the validation split; "
+            f"need at least 2 x batch_size = {2 * size}"
+        )
+
+    clamp = hyper.log_variance_clamp
+    keep = 1.0 - hyper.dropout_rate
+    count = len(members)
+    # The parameters under training live in one (member, P) array in
+    # parameter_vector() order, updated in place at every step. The
+    # gradients, Adam's moments and two work arrays share its layout.
+    theta = np.stack([m.parameter_vector() for m in members])
+    best_theta = theta.copy()
+    grad, moment1, moment2, work1, work2 = np.zeros((5, *theta.shape))
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    # Each epoch gathers every member's shuffled rows at once; minibatches
+    # are consecutive slices of them, and only the last may be short.
+    orders = np.empty((count, n_train), dtype=np.intp)
+    x_epoch = np.empty((count, n_train, input_size))
+    y_epoch = np.empty((count, n_train))
+    # Row i of the arrays above belongs to member live[i], whose stream is
+    # rngs[i]; the rows of a member that stops are dropped.
+    live, bound = list(range(count)), 0
+    rngs = [_rng(m.rng_seed, 1) for m in members]
+    best_val = [_eval_nll((m.w1, m.b1, m.w2, m.b2), x_val, y_val, clamp) for m in members]
+    best_epoch = [0] * count
+    logs: list[list[tuple[int, float]]] = [[] for _ in members]
+
+    for epoch in range(1, hyper.max_epochs + 1):
+        k = len(live)
+        if k != bound:
+            # Views of the first k rows, those of the members still training,
+            # and work arrays for k members: made at the start and again only
+            # after a member stops.
+            theta_k, grad_k, moment1_k, moment2_k, work1_k, work2_k = (
+                a[:k] for a in (theta, grad, moment1, moment2, work1, work2)
+            )
+            params = _parameter_views(theta_k, input_size, hidden_size)
+            grads = _parameter_views(grad_k, input_size, hidden_size)
+            xs, ys = x_epoch[:k], y_epoch[:k]
+            work = {r: _Scratch(k, r, hidden_size) for r in {size, n_train % size} - {0}}
+            batches = [
+                (xs[:, a : a + size], ys[:, a : a + size], work[min(size, n_train - a)])
+                for a in range(0, n_train, size)
+            ]
+            bound = k
+        for i, rng in enumerate(rngs):
+            orders[i] = rng.permutation(n_train)
+        np.take(x_train, orders[:k], axis=0, out=xs, mode="clip")
+        np.take(y_train, orders[:k], out=ys, mode="clip")
+        for batch, y, s in batches:
+            mask = None
+            if hyper.dropout_rate > 0.0:
+                # Uniform draws, each member's from its own stream, then in
+                # the same array the kept units scaled by 1 / keep.
+                for rng, slot in zip(rngs, s.member_dropout):
+                    rng.random(out=slot)
+                np.less(s.dropout, keep, out=s.kept)
+                mask = np.multiply(s.kept, 1.0 / keep, out=s.dropout)
+            losses = _loss_into(params, grads, batch, y, clamp, mask, s)
+            failed = [live[i] for i, loss in enumerate(losses) if not math.isfinite(loss)]
+            if failed:
+                raise TrainingError(
+                    f"non-finite training loss at epoch {epoch} "
+                    f"(seed {members[failed[0]].rng_seed})"
+                )
+            step += 1
+            scale = (
+                hyper.learning_rate
+                * math.sqrt(1.0 - beta2**step)
+                / (1.0 - beta1**step)
+            )
+            # Adam over all live rows at once:
+            # moment1 = beta1 * moment1 + (1 - beta1) * grad
+            np.multiply(moment1_k, beta1, out=moment1_k)
+            np.add(moment1_k, np.multiply(grad_k, 1.0 - beta1, out=work1_k), out=moment1_k)
+            # moment2 = beta2 * moment2 + (1 - beta2) * grad**2
+            np.multiply(moment2_k, beta2, out=moment2_k)
+            np.multiply(np.square(grad_k, out=work1_k), 1.0 - beta2, out=work1_k)
+            np.add(moment2_k, work1_k, out=moment2_k)
+            # theta -= scale * moment1 / (sqrt(moment2) + eps)
+            np.add(np.sqrt(moment2_k, out=work1_k), eps, out=work1_k)
+            np.divide(np.multiply(moment1_k, scale, out=work2_k), work1_k, out=work2_k)
+            np.subtract(theta_k, work2_k, out=theta_k)
+
+        running = []
+        for i, m in enumerate(live):
+            val_nll = _eval_nll([p[i] for p in params], x_val, y_val, clamp)
+            if not np.isfinite(val_nll):
+                raise TrainingError(
+                    f"non-finite validation loss at epoch {epoch} "
+                    f"(seed {members[m].rng_seed})"
+                )
+            logs[m].append((epoch, val_nll))
+            if val_nll < best_val[m]:
+                best_val[m], best_theta[m], best_epoch[m] = val_nll, theta[i], epoch
+            if epoch - best_epoch[m] < hyper.patience_epochs:
+                running.append(i)
+        if len(running) < k:
+            if not running:
+                break
+            # Move the rows of the members still training to the front, so
+            # a stopped member costs no further work.
+            for array in (theta, moment1, moment2):
+                array[: len(running)] = array[running]
+            live = [live[i] for i in running]
+            rngs = [rngs[i] for i in running]
+
+    w1, b1, w2, b2 = _parameter_views(best_theta, input_size, hidden_size)
+    trained = tuple(
+        Member(w1=w1[i], b1=b1[i], w2=w2[i], b2=b2[i], rng_seed=m.rng_seed)
+        for i, m in enumerate(members)
+    )
+    return trained, logs
 
 
 def train_member(
@@ -302,116 +458,16 @@ def train_member(
     hyper: EnsembleHyper,
     with_log: bool = False,
 ):
-    """Train one member with minibatch adaptive-moment descent.
+    """Train one member: the one-member case of ``_train_lockstep``.
 
-    The last ``validation_fraction`` of the rows (chronological order) is
-    held out; training stops once the validation NLL has not strictly
-    improved for ``patience_epochs`` epochs, and the parameters from the
-    best validation epoch are returned. Fully deterministic given
-    (member seed, data, hyper).
+    Returns the parameters of the best validation epoch, and with
+    ``with_log`` also the (epoch, validation NLL) log. Fully deterministic
+    given (member seed, data, hyper).
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    targets = np.asarray(targets, dtype=float).reshape(-1)
-    n = features.shape[0]
-    if targets.shape[0] != n:
-        raise ValueError("features and targets disagree on row count")
-    input_size, hidden_size = member.w1.shape
-    _check_arity(features, input_size)
-    train_slice, val_slice = _chronological_split(n, hyper.validation_fraction)
-    x_train, y_train = features[train_slice], targets[train_slice]
-    x_val, y_val = features[val_slice], targets[val_slice]
-    n_train = x_train.shape[0]
-    if n_train < 2 * hyper.batch_size:
-        raise ValueError(
-            f"{n_train} training rows after the validation split; "
-            f"need at least 2 x batch_size = {2 * hyper.batch_size}"
-        )
-
-    clamp = hyper.log_variance_clamp
-    rng = _rng(member.rng_seed, 1)
-    # The parameters under training live in one vector, updated in place
-    # at every step; w1, b1, w2, b2 are views into it, and the gradient
-    # vector has the same layout.
-    theta = member.parameter_vector()
-    grad = np.empty_like(theta)
-    params = _parameter_views(theta, input_size, hidden_size)
-    grads = _parameter_views(grad, input_size, hidden_size)
-    moment1 = np.zeros_like(theta)
-    moment2 = np.zeros_like(theta)
-    work1 = np.empty_like(theta)
-    work2 = np.empty_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-    # Minibatches are consecutive slices of each epoch's shuffled rows;
-    # only the last one may be short, and it gets work arrays of its own.
-    full = _Scratch(hyper.batch_size, hidden_size)
-    short = n_train % hyper.batch_size
-    batches = [
-        (slice(start, start + hyper.batch_size), full)
-        for start in range(0, n_train - short, hyper.batch_size)
-    ]
-    if short:
-        batches.append((slice(n_train - short, n_train), _Scratch(short, hidden_size)))
-
-    best = member
-    best_val = _eval_nll(params, x_val, y_val, clamp)
-    best_epoch = 0
-    log: list[tuple[int, float]] = []
-    keep = 1.0 - hyper.dropout_rate
-
-    for epoch in range(1, hyper.max_epochs + 1):
-        order = rng.permutation(n_train)
-        x_epoch, y_epoch = x_train[order], y_train[order]
-        for rows, s in batches:
-            mask = None
-            if hyper.dropout_rate > 0.0:
-                # Uniform draws, then in the same array the kept units
-                # scaled by 1 / keep.
-                rng.random(out=s.dropout)
-                np.less(s.dropout, keep, out=s.kept)
-                mask = np.divide(s.kept, keep, out=s.dropout)
-            loss = _loss_into(
-                params, grads, x_epoch[rows], y_epoch[rows], clamp, mask, s
-            )
-            if not math.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite training loss at epoch {epoch} (seed {member.rng_seed})"
-                )
-            step += 1
-            scale = (
-                hyper.learning_rate
-                * math.sqrt(1.0 - beta2**step)
-                / (1.0 - beta1**step)
-            )
-            # Adam over the whole vector:
-            # moment1 = beta1 * moment1 + (1 - beta1) * grad
-            np.multiply(moment1, beta1, out=moment1)
-            np.add(moment1, np.multiply(grad, 1.0 - beta1, out=work1), out=moment1)
-            # moment2 = beta2 * moment2 + (1 - beta2) * grad**2
-            np.multiply(moment2, beta2, out=moment2)
-            np.multiply(np.square(grad, out=work1), 1.0 - beta2, out=work1)
-            np.add(moment2, work1, out=moment2)
-            # theta -= scale * moment1 / (sqrt(moment2) + eps)
-            np.add(np.sqrt(moment2, out=work1), eps, out=work1)
-            np.divide(np.multiply(moment1, scale, out=work2), work1, out=work2)
-            np.subtract(theta, work2, out=theta)
-
-        val_nll = _eval_nll(params, x_val, y_val, clamp)
-        if not np.isfinite(val_nll):
-            raise TrainingError(
-                f"non-finite validation loss at epoch {epoch} (seed {member.rng_seed})"
-            )
-        log.append((epoch, val_nll))
-        if val_nll < best_val:
-            best_val = val_nll
-            best = Member(*(p.copy() for p in params), rng_seed=member.rng_seed)
-            best_epoch = epoch
-        if epoch - best_epoch >= hyper.patience_epochs:
-            break
-
+    (trained,), (log,) = _train_lockstep((member,), features, targets, hyper)
     if with_log:
-        return best, log
-    return best
+        return trained, log
+    return trained
 
 
 @dataclass(frozen=True)
@@ -435,14 +491,6 @@ class Normaliser:
         std = features.std(axis=0)
         zero = std == 0.0
         return cls(mean=mean, scale=np.where(zero, 1.0, std), zero_variance=zero)
-
-    @classmethod
-    def identity(cls, width: int) -> "Normaliser":
-        return cls(
-            mean=np.zeros(width),
-            scale=np.ones(width),
-            zero_variance=np.zeros(width, dtype=bool),
-        )
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=float)
@@ -529,36 +577,44 @@ def train_ensemble(
         features.shape[0], hyper.validation_fraction
     )
     normaliser = Normaliser.fit(features[train_slice])
-    normalised = normaliser.transform(features)
-    results = [
-        train_member(
-            init_member(features.shape[1], hyper.hidden_size, base_seed + m),
-            normalised,
-            y,
-            hyper,
-            with_log=True,
-        )
-        for m in range(hyper.member_count)
-    ]
-
+    members, logs = _train_lockstep(
+        [
+            init_member(features.shape[1], hyper.hidden_size, base_seed + m)
+            for m in range(hyper.member_count)
+        ],
+        normaliser.transform(features),
+        y,
+        hyper,
+    )
     return Ensemble(
-        members=tuple(member for member, _ in results),
+        members=members,
         normaliser=normaliser,
         log_variance_clamp=hyper.log_variance_clamp,
-        training_log=tuple(tuple(log) for _, log in results),
+        training_log=tuple(tuple(log) for log in logs),
         validation_part_ids=tuple(ids[val_slice]),
     )
 
 
-def _member_outputs(ensemble: Ensemble, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation-mode (means, variances) stacked as (member, row)."""
-    normalised = np.atleast_2d(ensemble.normaliser.transform(features))
-    means, variances = [], []
-    for member in ensemble.members:
-        mean, log_var = forward(member, normalised, ensemble.log_variance_clamp)
-        means.append(mean)
-        variances.append(np.exp(log_var))
-    return np.stack(means), np.stack(variances)
+def _decompose(ensemble: Ensemble, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row: the ensemble mean, the knowledge variance (spread of the
+    member means) and the data variance (mean of the members' predicted
+    variances). Their sum is the variance of the equal-weight Gaussian
+    mixture over the members.
+
+    One evaluation-mode forward pass over the stacked members.
+    """
+    batch = np.atleast_2d(ensemble.normaliser.transform(rows))
+    input_size, hidden_size = ensemble.members[0].w1.shape
+    _check_arity(batch, input_size)
+    theta = np.stack([m.parameter_vector() for m in ensemble.members])
+    hidden = np.empty((ensemble.member_count, batch.shape[0], hidden_size))
+    out = np.empty((ensemble.member_count, batch.shape[0], 2))
+    _forward_into(_parameter_views(theta, input_size, hidden_size), batch, hidden, out)
+    lo, hi = ensemble.log_variance_clamp
+    means = out[..., 0]
+    variances = np.exp(np.clip(out[..., 1], lo, hi))
+    mean = means.mean(axis=0)
+    return mean, np.mean((means - mean) ** 2, axis=0), variances.mean(axis=0)
 
 
 def predict(ensemble: Ensemble, x: np.ndarray) -> PredictiveSummary:
@@ -571,11 +627,10 @@ def predict(ensemble: Ensemble, x: np.ndarray) -> PredictiveSummary:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("predict takes a single feature row")
-    means, variances = _member_outputs(ensemble, x)
-    mean = float(means.mean())
-    knowledge = float(np.mean((means - mean) ** 2))
-    data = float(variances.mean())
-    return PredictiveSummary(mean=mean, knowledge_variance=knowledge, data_variance=data)
+    (mean,), (knowledge,), (data,) = _decompose(ensemble, x)
+    return PredictiveSummary(
+        mean=float(mean), knowledge_variance=float(knowledge), data_variance=float(data)
+    )
 
 
 def total_uncertainty(
@@ -597,63 +652,7 @@ def total_uncertainty(
         missing = [pid for pid in ensemble.validation_part_ids if pid not in known]
         if missing:
             raise ValueError(f"validation part ids missing from metric: {missing[:3]}")
-    rows = dataset.rows_for(ensemble.validation_part_ids)
-    means, variances = _member_outputs(ensemble, rows)
-    ensemble_mean = means.mean(axis=0)
-    knowledge = np.mean((means - ensemble_mean) ** 2, axis=0)
-    data = variances.mean(axis=0)
+    _, knowledge, data = _decompose(
+        ensemble, dataset.rows_for(ensemble.validation_part_ids)
+    )
     return float(np.mean(knowledge + data))
-
-
-def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
-    """Checkpoint to a single self-describing binary file."""
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
-    for i, member in enumerate(ensemble.members):
-        arrays[f"member{i}_w1"] = member.w1
-        arrays[f"member{i}_b1"] = member.b1
-        arrays[f"member{i}_w2"] = member.w2
-        arrays[f"member{i}_b2"] = member.b2
-    arrays["normaliser_mean"] = ensemble.normaliser.mean
-    arrays["normaliser_scale"] = ensemble.normaliser.scale
-    arrays["normaliser_zero_variance"] = ensemble.normaliser.zero_variance
-    meta = {
-        "member_seeds": [m.rng_seed for m in ensemble.members],
-        "log_variance_clamp": list(ensemble.log_variance_clamp),
-        "training_log": [[[e, v] for e, v in log] for log in ensemble.training_log],
-        "validation_part_ids": list(ensemble.validation_part_ids),
-    }
-    arrays["meta_json"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
-
-
-def load_ensemble(path: str | Path) -> Ensemble:
-    """Load a checkpoint; predictions must match the saved ensemble exactly."""
-    with np.load(Path(path)) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        members = tuple(
-            Member(
-                w1=data[f"member{i}_w1"],
-                b1=data[f"member{i}_b1"],
-                w2=data[f"member{i}_w2"],
-                b2=data[f"member{i}_b2"],
-                rng_seed=seed,
-            )
-            for i, seed in enumerate(meta["member_seeds"])
-        )
-        normaliser = Normaliser(
-            mean=data["normaliser_mean"],
-            scale=data["normaliser_scale"],
-            zero_variance=data["normaliser_zero_variance"],
-        )
-    return Ensemble(
-        members=members,
-        normaliser=normaliser,
-        log_variance_clamp=tuple(meta["log_variance_clamp"]),
-        training_log=tuple(
-            tuple((int(e), float(v)) for e, v in log) for log in meta["training_log"]
-        ),
-        validation_part_ids=tuple(meta["validation_part_ids"]),
-    )

@@ -96,9 +96,6 @@ class MetricTransform:
         if self.scale == 0.0:
             raise ValueError("scale must be non-zero")
 
-    def inverse(self) -> "MetricTransform":
-        return MetricTransform(scale=1.0 / self.scale, offset=-self.offset / self.scale)
-
 
 def apply_transform(series: MetricSeries, transform: MetricTransform) -> MetricSeries:
     """value -> scale * value + offset, part ids untouched."""

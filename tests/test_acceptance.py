@@ -152,7 +152,9 @@ def test_criterion_2_total_variance_matches_sampled_mixture() -> None:
                 _pinned_member(mu, sigma, seed=m)
                 for m, (mu, sigma) in enumerate(zip(means, sigmas))
             ),
-            normaliser=Normaliser.identity(1),
+            normaliser=Normaliser(
+                mean=np.zeros(1), scale=np.ones(1), zero_variance=np.zeros(1, dtype=bool)
+            ),
             log_variance_clamp=(-10.0, 10.0),
             training_log=((),) * member_count,
             validation_part_ids=("p-0",),

@@ -326,13 +326,8 @@ def test_run_decentralised_missing_data_exits_two(tmp_path) -> None:
     assert run("run-decentralised", "--config", str(path)) == 2
 
 
-def test_socket_transport_matches_in_process(tmp_path) -> None:
-    path = write_config(tmp_path)
-    synth_then(tmp_path, path)
-    assert run("run-decentralised", "--config", str(path)) == 0
-    names = ("ranking.csv", "campaign_log.json")
-    in_process = [(tmp_path / "run" / "decentralised" / n).read_bytes() for n in names]
-    # Same data directory, same seed, different transport and out dir.
+def socket_config(tmp_path: Path, path: Path) -> Path:
+    """The same data directory and seed as ``path``, over sockets into run_sock/."""
     raw = json.loads(path.read_text())
     raw["transport"] = "sockets"
     raw["out"] = str(tmp_path / "run_sock")
@@ -342,9 +337,32 @@ def test_socket_transport_matches_in_process(tmp_path) -> None:
     }
     sock_path = tmp_path / "sock.json"
     sock_path.write_text(json.dumps(raw))
-    assert run("run-decentralised", "--config", str(sock_path)) == 0
+    return sock_path
+
+
+def test_socket_transport_matches_in_process(tmp_path) -> None:
+    path = write_config(tmp_path)
+    synth_then(tmp_path, path)
+    assert run("run-decentralised", "--config", str(path)) == 0
+    names = ("ranking.csv", "campaign_log.json")
+    in_process = [(tmp_path / "run" / "decentralised" / n).read_bytes() for n in names]
+    assert run("run-decentralised", "--config", str(socket_config(tmp_path, path))) == 0
     socket_bytes = [(tmp_path / "run_sock" / "decentralised" / n).read_bytes() for n in names]
     assert socket_bytes == in_process
+
+
+def test_socket_coordinator_reads_no_actor_file(tmp_path, monkeypatch) -> None:
+    path = write_config(tmp_path)
+    synth_then(tmp_path, path)
+    assert run("run-decentralised", "--config", str(path)) == 0
+    expected = (tmp_path / "run" / "decentralised" / "ranking.csv").read_bytes()
+
+    def no_private_files(*args, **kwargs):
+        raise AssertionError("the coordinator parsed the actors' files")
+
+    monkeypatch.setattr(cli, "load_actor_datasets", no_private_files)
+    assert run("run-decentralised", "--config", str(socket_config(tmp_path, path))) == 0
+    assert (tmp_path / "run_sock" / "decentralised" / "ranking.csv").read_bytes() == expected
 
 
 def test_silent_socket_actor_exits_three_and_leaves_no_child(

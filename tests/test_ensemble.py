@@ -17,11 +17,9 @@ from chaincontrib.ensemble import (
     TrainingError,
     forward,
     init_member,
-    load_ensemble,
     loss_and_gradients,
     nll_loss,
     predict,
-    save_ensemble,
     total_uncertainty,
     train_ensemble,
     train_member,
@@ -49,10 +47,18 @@ def constant_member(mu: float, log_var: float, input_size: int = 3, hidden: int 
     )
 
 
+def identity_normaliser(width: int) -> Normaliser:
+    return Normaliser(
+        mean=np.zeros(width),
+        scale=np.ones(width),
+        zero_variance=np.zeros(width, dtype=bool),
+    )
+
+
 def hand_ensemble(members, width: int = 3, val_ids=("P0",)) -> Ensemble:
     return Ensemble(
         members=tuple(members),
-        normaliser=Normaliser.identity(width),
+        normaliser=identity_normaliser(width),
         log_variance_clamp=(-10.0, 10.0),
         training_log=tuple(() for _ in members),
         validation_part_ids=tuple(val_ids),
@@ -528,6 +534,84 @@ class TestTrainEnsemble:
             train_ensemble(dataset, other, SMALL_HYPER, base_seed=0)
 
 
+# Plus a keep probability whose inverse, 1 / 0.7, is inexact.
+LOCKSTEP_CASES = {
+    **EQUIVALENCE_CASES,
+    "odd-keep-short-batch": dict(rows=203, dropout_rate=0.3),
+}
+
+
+def lockstep_case(case: str, member_count: int, seed: int):
+    """Actor data and hyper for one LOCKSTEP_CASES case at M members."""
+    settings = dict(LOCKSTEP_CASES[case])
+    x, y = noisy_linear_data(settings.pop("rows"), seed)
+    hyper = EnsembleHyper(
+        **{
+            "member_count": member_count,
+            "hidden_size": 8,
+            "batch_size": 16,
+            "patience_epochs": 100,
+            "max_epochs": 12,
+            "learning_rate": 0.01,
+            **settings,
+        }
+    )
+    ids = tuple(f"P{i:04d}" for i in range(len(y)))
+    dataset = ActorDataset(
+        actor_id="alpha",
+        part_ids=ids,
+        columns=("f0", "f1", "f2"),
+        features=x,
+        shared_flags=(False, False, False),
+    )
+    return dataset, MetricSeries(part_ids=ids, values=y), hyper
+
+
+class TestLockstepEquivalence:
+    """train_ensemble trains its members together; each must still equal
+    the reference trainer run on that member alone."""
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    @pytest.mark.parametrize("member_count", [2, 5])
+    def test_members_match_reference_one_at_a_time(self, case, member_count):
+        dataset, metric, hyper = lockstep_case(case, member_count, seed=member_count)
+        ensemble = train_ensemble(dataset, metric, hyper, base_seed=40)
+        features, targets, _ = dataset.align(metric)
+        normalised = ensemble.normaliser.transform(features)
+        for member, log in zip(ensemble.members, ensemble.training_log):
+            start = init_member(3, hyper.hidden_size, seed=member.rng_seed)
+            expected, expected_log = reference_train_member(start, normalised, targets, hyper)
+            assert np.array_equal(member.parameter_vector(), expected)
+            assert list(log) == expected_log
+        if case == "early-stopping":
+            stops = [len(log) for log in ensemble.training_log]
+            assert max(stops) < hyper.max_epochs  # patience ended every run
+            # Members stop at different epochs, so the live rows were compacted.
+            assert len(set(stops)) > 1
+
+    def poisoned(self):
+        dataset, metric, hyper = lockstep_case("dropout", 5, seed=0)
+        values = metric.values.copy()
+        values[0] = 1e160  # a training row whose squared error overflows
+        return dataset, MetricSeries(part_ids=metric.part_ids, values=values), hyper
+
+    def test_nonfinite_loss_names_a_member_seed(self):
+        dataset, metric, hyper = self.poisoned()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=r"epoch 1 \(seed 4[0-4]\)"):
+                train_ensemble(dataset, metric, hyper, base_seed=40)
+
+    def test_nonfinite_loss_becomes_decline(self):
+        from chaincontrib.protocol import CallForUncertainty, Decline, handle_call
+
+        dataset, metric, hyper = self.poisoned()
+        call = CallForUncertainty(
+            call_id="call-000001", metric=metric, hyper=hyper, response_deadline=30.0
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert isinstance(handle_call(dataset, call, base_seed=40), Decline)
+
+
 class TestPredict:
     def test_two_member_hand_case(self):
         ensemble = hand_ensemble(
@@ -644,6 +728,15 @@ class TestTotalUncertainty:
         )
         assert total_uncertainty(ensemble, dataset) == 1.0
 
+    def test_two_member_hand_case_reports_mixture_variance(self):
+        # Means 0 and 2 at unit variance: knowledge 1 plus data 1 per row.
+        dataset = self.make_dataset()
+        ensemble = hand_ensemble(
+            [constant_member(0.0, 0.0, seed=1), constant_member(2.0, 0.0, seed=2)],
+            val_ids=dataset.part_ids[-3:],
+        )
+        assert total_uncertainty(ensemble, dataset) == 2.0
+
     def test_deterministic(self):
         dataset, metric = make_actor_data()
         ensemble = train_ensemble(dataset, metric, SMALL_HYPER, base_seed=3)
@@ -678,34 +771,23 @@ class TestTotalUncertainty:
             total_uncertainty(ensemble, dataset)
 
 
-class TestCheckpoint:
-    def test_round_trip_reproduces_predictions_exactly(self, tmp_path):
-        dataset, metric = make_actor_data()
-        hyper = EnsembleHyper(
-            member_count=2,
-            hidden_size=8,
-            dropout_rate=0.5,
-            batch_size=16,
-            patience_epochs=10,
-            max_epochs=30,
-        )
-        ensemble = train_ensemble(dataset, metric, hyper, base_seed=1)
-        path = tmp_path / "ensemble.npz"
-        save_ensemble(ensemble, path)
-        loaded = load_ensemble(path)
-        assert loaded.validation_part_ids == ensemble.validation_part_ids
-        assert loaded.training_log == ensemble.training_log
-        assert loaded.log_variance_clamp == ensemble.log_variance_clamp
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            x = rng.normal(size=3)
-            a, b = predict(ensemble, x), predict(loaded, x)
-            assert (a.mean, a.knowledge_variance, a.data_variance) == (
-                b.mean,
-                b.knowledge_variance,
-                b.data_variance,
-            )
-        assert total_uncertainty(loaded, dataset) == total_uncertainty(ensemble, dataset)
+def test_breaking_the_decomposition_fails_both_oracles(monkeypatch):
+    # predict (checked by acceptance criterion 2) and total_uncertainty
+    # (the scalar on the wire) share _decompose, so one fault fails both.
+    import test_acceptance
+    from chaincontrib import ensemble as module
+
+    decompose = module._decompose
+
+    def without_knowledge(ensemble, rows):
+        mean, knowledge, data = decompose(ensemble, rows)
+        return mean, np.zeros_like(knowledge), data
+
+    monkeypatch.setattr(module, "_decompose", without_knowledge)
+    with pytest.raises(AssertionError, match="criterion 2"):
+        test_acceptance.test_criterion_2_total_variance_matches_sampled_mixture()
+    with pytest.raises(AssertionError):
+        TestTotalUncertainty().test_two_member_hand_case_reports_mixture_variance()
 
 
 class TestNormaliser:
@@ -724,7 +806,7 @@ class TestNormaliser:
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
 
     def test_arity_mismatch_rejected(self):
-        norm = Normaliser.identity(3)
+        norm = identity_normaliser(3)
         with pytest.raises(ValueError, match="arity"):
             norm.transform(np.zeros(4))
 

@@ -115,12 +115,6 @@ class TestMetricTransform:
         np.testing.assert_array_equal(out.values, [1.0, 3.0])
         assert out.part_ids == series.part_ids
 
-    def test_inverse_recovers_original(self):
-        series = small_metric(7)
-        t = MetricTransform(scale=-3.7, offset=0.42)
-        back = apply_transform(apply_transform(series, t), t.inverse())
-        np.testing.assert_allclose(back.values, series.values, rtol=0, atol=1e-15)
-
 
 class TestCoordinator:
     def test_call_carries_metric_verbatim_without_transform(self):
