@@ -409,6 +409,8 @@ def _spawn_actors(
 def cmd_run_decentralised(config: RunConfig) -> int:
     metric = MetricSeries.from_csv(config.metric_path)
     transform = _unit_spread_transform(metric)
+    out = config.out / "decentralised"
+    out.mkdir(parents=True, exist_ok=True)
     cc = config.campaign
 
     processes: list[subprocess.Popen] = []
@@ -446,8 +448,6 @@ def cmd_run_decentralised(config: RunConfig) -> int:
                 proc.wait()
             proc.stdout.close()
 
-    out = config.out / "decentralised"
-    out.mkdir(parents=True, exist_ok=True)
     ranking_path = out / "ranking.csv"
     ranking.to_csv(ranking_path)
     log_path = out / "campaign_log.json"

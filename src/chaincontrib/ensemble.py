@@ -208,7 +208,7 @@ class _Scratch:
         self.out, self.d_out = np.empty((2, members, rows, 2))
         # The per-row terms are flat over (member, row): numpy runs a flat
         # strided column of the heads faster than a 2-d one.
-        self.mean, self.raw = self.out.reshape(-1, 2).T
+        self.raw = self.out.reshape(-1, 2)[:, 1]
         self.d_mean, self.d_log_var = self.d_out.reshape(-1, 2).T
         self.log_var, self.negated, self.inv_var, self.residual, self.fit, self.terms = (
             np.empty((6, members * rows))
@@ -250,13 +250,13 @@ def _loss_into(params, grads, batch, y, clamp, dropout_mask, s: _Scratch) -> lis
 
     w2 = params[2]
     grad_w1, grad_b1, grad_w2, grad_b2 = grads
-    np.matmul(s.hidden.mT, s.d_out, out=grad_w2)
+    np.matmul(np.swapaxes(s.hidden, -1, -2), s.d_out, out=grad_w2)
     np.add.reduce(s.d_out, axis=1, out=grad_b2)
-    d_pre = np.matmul(s.d_out, w2.mT, out=s.d_hidden)
+    d_pre = np.matmul(s.d_out, np.swapaxes(w2, -1, -2), out=s.d_hidden)
     if dropout_mask is not None:
         np.multiply(d_pre, dropout_mask, out=d_pre)
     np.multiply(d_pre, s.active, out=d_pre)
-    np.matmul(batch.mT, d_pre, out=grad_w1)
+    np.matmul(np.swapaxes(batch, -1, -2), d_pre, out=grad_w1)
     np.add.reduce(d_pre, axis=1, out=grad_b1)
     return losses
 

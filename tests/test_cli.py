@@ -365,6 +365,17 @@ def test_socket_coordinator_reads_no_actor_file(tmp_path, monkeypatch) -> None:
     assert (tmp_path / "run_sock" / "decentralised" / "ranking.csv").read_bytes() == expected
 
 
+def test_corrupt_actor_file_exits_two_in_process_and_three_over_sockets(tmp_path) -> None:
+    path = write_config(tmp_path)
+    synth_then(tmp_path, path)
+    (tmp_path / "run" / "data" / "actor-2.csv").write_text("part_id,a\nP1,not-a-number,3\n")
+    # In process the coordinator parses every file: a data error.
+    assert run("run-decentralised", "--config", str(path)) == 2
+    # Over sockets only actor-2's own process reads the file; it dies
+    # before reporting an address, so the campaign fails.
+    assert run("run-decentralised", "--config", str(socket_config(tmp_path, path))) == 3
+
+
 def test_silent_socket_actor_exits_three_and_leaves_no_child(
     tmp_path, monkeypatch
 ) -> None:
