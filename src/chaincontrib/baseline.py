@@ -68,9 +68,11 @@ class CentralModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        mean, _ = forward(
-            self.member, self.normaliser.transform(features), self.log_variance_clamp
-        )
+        return self.predict_normalised(self.normaliser.transform(features))
+
+    def predict_normalised(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`predict` on rows the normaliser has already transformed."""
+        mean, _ = forward(self.member, rows, self.log_variance_clamp)
         return mean * self.target_scale + self.target_center
 
 
@@ -164,11 +166,29 @@ def train_central(
     )
 
 
-def _as_function(model) -> Callable[[np.ndarray], np.ndarray]:
+def _explained(
+    model, instances: np.ndarray, background: np.ndarray
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
+    """The function, instances and background to attribute ``model`` with.
+
+    A ``CentralModel`` is explained in normalised space. Its normaliser
+    works column by column, so masking normalised rows with the
+    normalised background mean gives, bit for bit, the rows ``predict``
+    would normalise, and the masked rows skip the transform. The
+    background becomes that one row, which is its own mean.
+    """
+    if background.shape[1] != instances.shape[1]:
+        raise ValueError("background width does not match the instance")
     if isinstance(model, CentralModel):
-        return model.predict
+        transform = model.normaliser.transform
+        return (
+            model.predict_normalised,
+            transform(instances),
+            transform(background.mean(axis=0)[None, :]),
+        )
     if callable(model):
-        return lambda rows: np.asarray(model(np.atleast_2d(rows)), dtype=float).reshape(-1)
+        fn = lambda rows: np.asarray(model(np.atleast_2d(rows)), dtype=float).reshape(-1)
+        return fn, instances, background
     raise TypeError("model must be a CentralModel or a callable on feature rows")
 
 
@@ -214,38 +234,42 @@ def _draw_coalitions(
     return drawn[first], counts.astype(float)
 
 
-def _solve_attribution(
-    masks: np.ndarray,
-    weights: np.ndarray,
-    values: np.ndarray,
-    base: float,
-    full: np.ndarray,
-) -> np.ndarray:
+def _attribution_solver(
+    masks: np.ndarray, weights: np.ndarray
+) -> Callable[[np.ndarray, float, np.ndarray], np.ndarray]:
     """Weighted least squares with the additivity constraint enforced exactly.
 
-    ``values`` holds one column of coalition values per instance and
-    ``full`` one prediction per instance; the result has one attribution
-    row per instance. The last feature's attribution is eliminated
-    through the constraint sum(phi) = full - base, which each returned
-    row therefore satisfies to machine precision.
+    The design depends only on the coalitions, so it is factorised once
+    here: one SVD of the weighted design gives the solution operator.
+    The returned ``solve(values, base, full)`` takes one column of
+    coalition values per instance and one prediction per instance, and
+    gives one attribution row per instance. The last feature's
+    attribution is eliminated through the constraint
+    sum(phi) = full - base, which each row therefore satisfies to
+    machine precision.
     """
     d = masks.shape[1]
-    gap = full - base
-    design = masks[:, :-1].astype(float) - masks[:, -1:].astype(float)
-    response = values - base - masks[:, -1:].astype(float) * gap
-    sqrt_w = np.sqrt(weights)[:, None]
-    head, _, rank, _ = np.linalg.lstsq(
-        design * sqrt_w, response * sqrt_w, rcond=None
-    )
-    if rank < d - 1:
+    last = masks[:, -1:].astype(float)
+    sqrt_w = np.sqrt(weights)
+    design = (masks[:, :-1].astype(float) - last) * sqrt_w[:, None]
+    u, sigma, vt = np.linalg.svd(design, full_matrices=False)
+    # The rank test of np.linalg.lstsq with its default rcond.
+    cutoff = np.finfo(float).eps * max(design.shape) * sigma[0]
+    if np.count_nonzero(sigma > cutoff) < d - 1:
         raise ValueError(
             "coalition system is singular; increase sample_count to cover "
             "more coalitions"
         )
-    phi = np.empty((gap.shape[0], d))
-    phi[:, :-1] = head.T
-    phi[:, -1] = gap - phi[:, :-1].sum(axis=1)
-    return phi
+    operator = (vt.T / sigma) @ (u.T * sqrt_w)
+
+    def solve(values: np.ndarray, base: float, full: np.ndarray) -> np.ndarray:
+        gap = full - base
+        phi = np.empty((gap.shape[0], d))
+        phi[:, :-1] = (operator @ (values - base - last * gap)).T
+        phi[:, -1] = gap - phi[:, :-1].sum(axis=1)
+        return phi
+
+    return solve
 
 
 def require_sample_count(sample_count: int, width: int) -> None:
@@ -257,23 +281,23 @@ def require_sample_count(sample_count: int, width: int) -> None:
 
 
 def _attribute(
-    fn: Callable[[np.ndarray], np.ndarray],
+    model,
     instances: np.ndarray,
     background: np.ndarray,
     sample_count: int,
     seed: int,
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Kernel attributions of every row of ``instances``.
+    """Kernel attributions of every row of ``instances`` under ``model``.
 
     Returns the attributions, the base value f(background mean) and the
     predictions f(row) that each row of attributions adds up to. The
-    coalitions are drawn once for all rows; the masked rows are then
-    evaluated and solved in blocks of about ``_BLOCK_ROWS`` rows, so
-    memory stays flat however many instances there are.
+    coalitions are drawn and the regression factorised once for all
+    rows; the masked rows are then evaluated and solved in blocks of
+    about ``_BLOCK_ROWS`` rows, so memory stays flat however many
+    instances there are.
     """
+    fn, instances, background = _explained(model, instances, background)
     d = instances.shape[1]
-    if background.shape[1] != d:
-        raise ValueError("background width does not match the instance")
     require_sample_count(sample_count, d)
     background_mean = background.mean(axis=0)
     base = float(fn(background_mean[None, :])[0])
@@ -282,6 +306,7 @@ def _attribute(
         return (predictions - base)[:, None], base, predictions
 
     masks, weights = _draw_coalitions(d, sample_count, seed)
+    solve = _attribution_solver(masks, weights)
     block = max(1, _BLOCK_ROWS // masks.shape[0])
     values = np.empty(instances.shape)
     for start in range(0, instances.shape[0], block):
@@ -289,9 +314,7 @@ def _attribute(
         # Features outside the coalition are replaced by the background mean.
         rows = np.where(masks, instances[start:stop, None, :], background_mean)
         coalition_values = fn(rows.reshape(-1, d)).reshape(-1, masks.shape[0])
-        values[start:stop] = _solve_attribution(
-            masks, weights, coalition_values.T, base, predictions[start:stop]
-        )
+        values[start:stop] = solve(coalition_values.T, base, predictions[start:stop])
     return values, base, predictions
 
 
@@ -315,8 +338,7 @@ def kernel_shap(
     """
     instance = np.asarray(instance, dtype=float).reshape(1, -1)
     background = np.atleast_2d(np.asarray(background, dtype=float))
-    fn = _as_function(model)
-    values, _, _ = _attribute(fn, instance, background, sample_count, seed)
+    values, _, _ = _attribute(model, instance, background, sample_count, seed)
     return values[0]
 
 
@@ -327,13 +349,11 @@ def exact_shapley(model, instance: np.ndarray, background: np.ndarray) -> np.nda
     d = instance.shape[0]
     if d > 12:
         raise ValueError(f"exact enumeration infeasible for {d} features (max 12)")
-    if background.shape[1] != d:
-        raise ValueError("background width does not match the instance")
-    fn = _as_function(model)
+    fn, rows, background = _explained(model, instance[None, :], background)
 
     masks = _all_coalitions(d)
     # Features outside the coalition are replaced by the background mean.
-    values = fn(np.where(masks, instance, background.mean(axis=0)))
+    values = fn(np.where(masks, rows[0], background.mean(axis=0)))
     value_of = {int(bits): values[bits] for bits in range(2**d)}
 
     phi = np.zeros(d)
@@ -409,7 +429,7 @@ def explain_central(
         raise ValueError("no validation instances to explain")
 
     values, base, predictions = _attribute(
-        model.predict, instances, background, sample_count, seed
+        model, instances, background, sample_count, seed
     )
     report = ShapReport(
         instance_ids=ids,

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincontrib import baseline
 from chaincontrib.baseline import (
     SHARED_ACTOR_ID,
     CentralModel,
     ShapReport,
+    _attribute,
+    _attribution_solver,
     _draw_coalitions,
-    _solve_attribution,
     aggregate_company,
     exact_shapley,
     explain_central,
@@ -260,9 +262,7 @@ def test_kernel_sampled_coalitions_merge_like_reference(d: int) -> None:
     masks = np.array(sorted(counts), dtype=bool)
     weights = np.array([counts[tuple(m.tolist())] for m in masks], dtype=float)
     mean = background.mean(axis=0)
-    expected = _solve_attribution(
-        masks,
-        weights,
+    expected = _attribution_solver(masks, weights)(
         fn(np.where(masks, instance, mean))[:, None],
         float(fn(mean[None, :])[0]),
         fn(instance[None, :]),
@@ -333,7 +333,68 @@ def test_singular_system_names_sample_count() -> None:
     # Coalitions covering only one feature cannot identify the others.
     masks = np.array([[True, False, False]] * 4)
     with pytest.raises(ValueError, match="sample_count"):
-        _solve_attribution(masks, np.ones(4), np.ones((4, 1)), base=0.0, full=np.ones(1))
+        _attribution_solver(masks, np.ones(4))
+
+
+def test_solver_rank_test_is_the_lstsq_rank_test() -> None:
+    # Minimal budgets, half with two features tied: a tie leaves a
+    # singular value at rounding level, not zero, so the cutoff decides.
+    singular = 0
+    for seed in range(200):
+        d = 3 + seed % 5
+        masks, weights = _draw_coalitions(d, 2 * d + 2, seed=seed)
+        if seed % 2:
+            masks[:, 1] = masks[:, 0]
+        design = masks[:, :-1].astype(float) - masks[:, -1:].astype(float)
+        rank = np.linalg.lstsq(
+            design * np.sqrt(weights)[:, None], np.ones(len(masks)), rcond=None
+        )[2]
+        try:
+            _attribution_solver(masks, weights)
+        except ValueError:
+            singular += 1
+            assert rank < d - 1
+        else:
+            assert rank == d - 1
+    assert 0 < singular < 200
+
+
+def lstsq_attributions(fn, instances, background, sample_count, seed) -> np.ndarray:
+    """One weighted np.linalg.lstsq per instance over the same coalitions,
+    with the last attribution eliminated through additivity."""
+    d = instances.shape[1]
+    masks, weights = _draw_coalitions(d, sample_count, seed)
+    mean = background.mean(axis=0)
+    base = float(fn(mean[None, :])[0])
+    design = masks[:, :-1].astype(float) - masks[:, -1:].astype(float)
+    sqrt_w = np.sqrt(weights)
+    phi = np.empty(instances.shape)
+    for row, instance in zip(phi, instances):
+        gap = float(fn(instance[None, :])[0]) - base
+        response = fn(np.where(masks, instance, mean)) - base - masks[:, -1] * gap
+        row[:-1] = np.linalg.lstsq(
+            design * sqrt_w[:, None], response * sqrt_w, rcond=None
+        )[0]
+        row[-1] = gap - row[:-1].sum()
+    return phi
+
+
+@pytest.mark.parametrize(
+    ("d", "sample_count", "count"),
+    [
+        (17, 2048, 7),  # sampled: about 1 270 coalitions, blocks of 3
+        (11, 2048, 5),  # all 2 046 coalitions, blocks of 2
+        (6, 64, 70),  # all 62 coalitions, blocks of 66
+    ],
+)
+def test_factored_solve_matches_per_instance_lstsq(d, sample_count, count) -> None:
+    fn = random_network(d, seed=30 + d)
+    rng = np.random.default_rng(40 + d)
+    instances = rng.normal(size=(count, d))
+    background = rng.normal(size=(25, d))
+    values, _, _ = _attribute(fn, instances, background, sample_count, seed=3)
+    expected = lstsq_attributions(fn, instances, background, sample_count, seed=3)
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
 
 
 def median_errors(d: int, budgets: list[int], networks: int) -> np.ndarray:
@@ -662,6 +723,23 @@ def test_explain_central_rows_do_not_depend_on_the_instance_count() -> None:
         np.testing.assert_allclose(report.values, alone[:count], rtol=0, atol=1e-9)
 
 
+def test_explain_central_factorises_the_design_once(monkeypatch) -> None:
+    model = pooled_model(4)  # 17 columns: 23 instances take 8 blocks of 3
+    factorised = []
+
+    def counting_solver(masks, weights):
+        factorised.append(masks.shape[0])
+        return _attribution_solver(masks, weights)
+
+    monkeypatch.setattr(baseline, "_attribution_solver", counting_solver)
+    report = explain_central(
+        model, sample_count=2048, seed=7, background_size=50, max_instances=23
+    )
+    assert len(report.instance_ids) == 23
+    assert 23 > baseline._BLOCK_ROWS // factorised[0]
+    assert len(factorised) == 1
+
+
 def test_explain_central_enumerated_matches_exact_shapley() -> None:
     model = trained_model()  # 6 pooled columns: 62 coalitions, all enumerated
     report = explain_central(model, sample_count=64, seed=0, background_size=30)
@@ -698,6 +776,9 @@ def test_explain_central_checks_the_budget_before_any_model_call(monkeypatch) ->
     model = trained_model()
     calls = []
     monkeypatch.setattr(CentralModel, "predict", lambda self, rows: calls.append(rows))
+    monkeypatch.setattr(
+        CentralModel, "predict_normalised", lambda self, rows: calls.append(rows)
+    )
     with pytest.raises(ValueError, match="sample_count"):
         explain_central(model, sample_count=13)  # 6 columns need 14
     assert calls == []
