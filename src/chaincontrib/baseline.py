@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from chaincontrib.dataset import ActorDataset, MetricSeries
+from chaincontrib.dataset import ActorDataset, MetricSeries, write_csv
 from chaincontrib.ensemble import (
     EnsembleHyper,
     Member,
@@ -449,23 +449,14 @@ def explain_central(
     return report
 
 
-def aggregate_company(
-    report: ShapReport,
-    feature_index: Sequence[tuple[str, str]] | None = None,
-) -> dict[str, float]:
+def aggregate_company(report: ShapReport) -> dict[str, float]:
     """Mean over instances of the summed |attribution| per actor.
 
     Shared columns contribute to the shared pseudo-actor only.
     """
-    index = tuple(feature_index) if feature_index is not None else report.feature_index
-    if len(index) != report.values.shape[1]:
-        raise ValueError(
-            f"feature_index covers {len(index)} features, report has "
-            f"{report.values.shape[1]}"
-        )
     actors: dict[str, float] = {}
     absolute = np.abs(report.values)
-    for j, (actor_id, _) in enumerate(index):
+    for j, (actor_id, _) in enumerate(report.feature_index):
         actors[actor_id] = actors.get(actor_id, 0.0) + float(absolute[:, j].mean())
     return actors
 
@@ -478,20 +469,17 @@ def write_shap_csvs(report: ShapReport, out_dir: str | Path) -> tuple[Path, Path
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     values_path = out_dir / "shap_values.csv"
-    with values_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "feature", "attribution"])
-        for i, pid in enumerate(report.instance_ids):
-            for j, name in enumerate(report.feature_names):
-                writer.writerow([pid, name, repr(float(report.values[i, j]))])
-
+    write_csv(
+        values_path,
+        ["instance_id", "feature", "attribution"],
+        (
+            (pid, name, value)
+            for pid, row in zip(report.instance_ids, report.values.tolist())
+            for name, value in zip(report.feature_names, row)
+        ),
+    )
     summary_path = out_dir / "shap_summary.csv"
-    aggregated = aggregate_company(report)
-    with summary_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
-        for actor_id in sorted(aggregated):
-            writer.writerow([actor_id, repr(aggregated[actor_id])])
+    write_csv(summary_path, _SUMMARY_COLUMNS, sorted(aggregate_company(report).items()))
     return values_path, summary_path
 
 

@@ -298,7 +298,6 @@ def cmd_ingest(config: RunConfig) -> int:
     cleaned = clean_measurements(
         table,
         column_missing_threshold=data.column_missing_threshold,
-        drop_rows_with_missing_targets=True,
         measurement_columns=list(data.measurement_columns),
     )
     dropped_columns = [c for c in table.columns if c not in cleaned.columns]

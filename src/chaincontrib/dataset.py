@@ -14,7 +14,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -140,10 +140,28 @@ def load_csv(path: str | Path, id_column: str) -> RawTable:
     return RawTable(id_column=id_column, ids=tuple(ids), columns=columns, values=values)
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV: the header row, then one line per row.
+
+    A bool cell is written ``true`` or ``false``. Every other cell goes to
+    the csv module as it is, and that writes a Python float as its
+    ``repr``, so :func:`load_csv` reads it back exactly. Callers pass
+    floats as Python floats (``ndarray.tolist()`` or ``float()``).
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [("true" if c else "false") if type(c) is bool else c for c in row]
+            if bool in map(type, row)
+            else row
+            for row in rows
+        )
+
+
 def clean_measurements(
     table: RawTable,
     column_missing_threshold: float = 0.5,
-    drop_rows_with_missing_targets: bool = True,
     measurement_columns: Sequence[str] | None = None,
 ) -> RawTable:
     """Drop unreliable measurement columns, then rows with missing targets.
@@ -178,11 +196,8 @@ def clean_measurements(
     columns = tuple(table.columns[i] for i in keep_idx)
     values = table.values[:, keep_idx]
 
-    if drop_rows_with_missing_targets and kept_considered:
-        target_idx = [columns.index(c) for c in kept_considered]
-        row_mask = ~np.isnan(values[:, target_idx]).any(axis=1)
-    else:
-        row_mask = np.ones(table.n_rows, dtype=bool)
+    target_idx = [columns.index(c) for c in kept_considered]
+    row_mask = ~np.isnan(values[:, target_idx]).any(axis=1)
 
     ids = tuple(pid for pid, keep in zip(table.ids, row_mask) if keep)
     return RawTable(
@@ -280,12 +295,7 @@ class MetricSeries:
         return {pid: float(v) for pid, v in zip(self.part_ids, self.values)}
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["part_id", "value"])
-            for pid, value in self.entries():
-                writer.writerow([pid, repr(value)])
+        write_csv(path, ["part_id", "value"], zip(self.part_ids, self.values.tolist()))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MetricSeries":
@@ -565,11 +575,11 @@ def save_actor_datasets(datasets: Sequence[ActorDataset], out_dir: str | Path) -
     manifest = []
     for ds in datasets:
         filename = f"{ds.actor_id}.csv"
-        with (out_dir / filename).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["part_id", *ds.columns])
-            for i, pid in enumerate(ds.part_ids):
-                writer.writerow([pid, *(repr(float(v)) for v in ds.features[i])])
+        write_csv(
+            out_dir / filename,
+            ["part_id", *ds.columns],
+            ([pid, *row] for pid, row in zip(ds.part_ids, ds.features.tolist())),
+        )
         manifest.append(
             {
                 "actor_id": ds.actor_id,

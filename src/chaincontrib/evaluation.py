@@ -10,15 +10,14 @@ and a standalone SVG bar chart.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from chaincontrib.dataset import NOISE_ACTOR_ID
+from chaincontrib.dataset import NOISE_ACTOR_ID, write_csv
 from chaincontrib.protocol import ContributionRanking
 
 
@@ -67,22 +66,14 @@ def kendall_tau(rank_a: Mapping[str, float], rank_b: Mapping[str, float]) -> flo
     """Kendall tau-b by pair counting, with the tie correction."""
     a, b = _matched_pairs(rank_a, rank_b)
     n = a.shape[0]
-    concordant = discordant = ties_a = ties_b = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = np.sign(a[i] - a[j])
-            db = np.sign(b[i] - b[j])
-            if da == 0 and db == 0:
-                ties_a += 1
-                ties_b += 1
-            elif da == 0:
-                ties_a += 1
-            elif db == 0:
-                ties_b += 1
-            elif da == db:
-                concordant += 1
-            else:
-                discordant += 1
+    upper = np.triu_indices(n, k=1)
+    da = np.sign(a[:, None] - a[None, :])[upper]
+    db = np.sign(b[:, None] - b[None, :])[upper]
+    ties_a = int(np.count_nonzero(da == 0))
+    ties_b = int(np.count_nonzero(db == 0))
+    untied = (da != 0) & (db != 0)
+    concordant = int(np.count_nonzero(untied & (da == db)))
+    discordant = int(np.count_nonzero(untied)) - concordant
     n0 = n * (n - 1) // 2
     denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
     if denom == 0:
@@ -91,17 +82,11 @@ def kendall_tau(rank_a: Mapping[str, float], rank_b: Mapping[str, float]) -> flo
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    # Ties share the average of the positions they would occupy.
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=float)
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    # Ties share the average of the 1-based positions they would occupy:
+    # a group of c equal values starting at position s gets s + (c + 1) / 2.
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    return (starts + (counts + 1) / 2)[inverse]
 
 
 def spearman_rho(rank_a: Mapping[str, float], rank_b: Mapping[str, float]) -> float:
@@ -115,53 +100,43 @@ def spearman_rho(rank_a: Mapping[str, float], rank_b: Mapping[str, float]) -> fl
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    """Both contribution series side by side, ordered by decentralised rank."""
+class ComparisonRow:
+    """One actor's results side by side; the field names are the rank table's header."""
 
-    actor_ids: tuple[str, ...]
-    uncertainties: tuple[float, ...]
-    aligned_uncertainty: tuple[float, ...]
-    shap: tuple[float, ...]
-    aligned_shap: tuple[float, ...]
-    rank_decentralised: tuple[int, ...]
-    rank_shap: tuple[int, ...]
-    below_floor: tuple[bool, ...]
+    actor_id: str
+    uncertainty: float
+    aligned_uncertainty: float
+    shap: float
+    aligned_shap: float
+    rank_dec: int
+    rank_shap: int
+    below_floor: bool
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """Both contribution series side by side, one row per actor in
+    decentralised rank order."""
+
+    rows: tuple[ComparisonRow, ...]
     kendall: float
     spearman: float
     noise_contrast: float
     noise_actor_id: str | None
 
     def __post_init__(self) -> None:
-        n = len(self.actor_ids)
-        for field_name in (
-            "uncertainties",
-            "aligned_uncertainty",
-            "shap",
-            "aligned_shap",
-            "rank_decentralised",
-            "rank_shap",
-            "below_floor",
-        ):
-            if len(getattr(self, field_name)) != n:
-                raise ValueError(f"{field_name} must have one entry per actor")
-        if n >= 2:
+        if len(self.rows) >= 2:
             # Alignment contract: the two series share their endpoints.
-            if not math.isclose(
-                min(self.aligned_uncertainty), min(self.aligned_shap), abs_tol=1e-9
-            ) or not math.isclose(
-                max(self.aligned_uncertainty), max(self.aligned_shap), abs_tol=1e-9
+            unc = [r.aligned_uncertainty for r in self.rows]
+            shap = [r.aligned_shap for r in self.rows]
+            if not math.isclose(min(unc), min(shap), abs_tol=1e-9) or not math.isclose(
+                max(unc), max(shap), abs_tol=1e-9
             ):
                 raise ValueError("aligned series must share min and max")
 
-    def score_of(self, actor_id: str) -> tuple[float, float]:
-        i = self.actor_ids.index(actor_id)
-        return self.aligned_uncertainty[i], self.aligned_shap[i]
-
 
 def build_comparison(
-    ranking: ContributionRanking,
-    shap_scores: Mapping[str, float],
-    noise_actor_id: str | None = NOISE_ACTOR_ID,
+    ranking: ContributionRanking, shap_scores: Mapping[str, float]
 ) -> ComparisonReport:
     """Join the two result sets on actor id and compute agreement statistics.
 
@@ -179,32 +154,43 @@ def build_comparison(
     if len(ranked_ids) < 2:
         raise ValueError("comparison needs at least two actors")
 
-    uncertainties = tuple(e.total_uncertainty for e in ranking.entries)
-    shap_values = tuple(float(shap_scores[a]) for a in ranked_ids)
+    dec_scores = invert_for_comparison(ranking)
+    shap_values = [float(shap_scores[a]) for a in ranked_ids]
     target_min = min(shap_values)
     target_max = max(shap_values)
-    aligned_unc = minmax_align(
-        [-u for u in uncertainties], target_min, target_max
-    )
+    aligned_unc = minmax_align([dec_scores[a] for a in ranked_ids], target_min, target_max)
     aligned_shap = minmax_align(shap_values, target_min, target_max)
 
     shap_order = sorted(ranked_ids, key=lambda a: (-shap_scores[a], a))
     shap_rank = {a: i + 1 for i, a in enumerate(shap_order)}
+    rows = tuple(
+        ComparisonRow(
+            actor_id=e.actor_id,
+            uncertainty=e.total_uncertainty,
+            aligned_uncertainty=unc,
+            shap=shap,
+            aligned_shap=aligned,
+            rank_dec=e.estimated_rank,
+            rank_shap=shap_rank[e.actor_id],
+            below_floor=e.below_noise_floor,
+        )
+        for e, unc, shap, aligned in zip(
+            ranking.entries, aligned_unc, shap_values, aligned_shap
+        )
+    )
 
-    real = [a for a in ranked_ids if a != noise_actor_id]
+    real = [r for r in rows if r.actor_id != NOISE_ACTOR_ID]
     if len(real) < 2:
         raise ValueError("comparison needs at least two real actors")
-    dec_scores = {a: -u for a, u in zip(ranked_ids, uncertainties)}
-    real_dec = {a: dec_scores[a] for a in real}
-    real_shap = {a: float(shap_scores[a]) for a in real}
+    real_dec = {r.actor_id: dec_scores[r.actor_id] for r in real}
+    real_shap = {r.actor_id: r.shap for r in real}
     tau = kendall_tau(real_dec, real_shap)
     rho = spearman_rho(real_dec, real_shap)
 
-    if noise_actor_id is not None and noise_actor_id in set(ranked_ids):
-        by_actor_unc = dict(zip(ranked_ids, aligned_unc))
-        by_actor_shap = dict(zip(ranked_ids, aligned_shap))
-        dec_gap = min(by_actor_unc[a] for a in real) - by_actor_unc[noise_actor_id]
-        shap_gap = min(by_actor_shap[a] for a in real) - by_actor_shap[noise_actor_id]
+    noise = next((r for r in rows if r.actor_id == NOISE_ACTOR_ID), None)
+    if noise is not None:
+        dec_gap = min(r.aligned_uncertainty for r in real) - noise.aligned_uncertainty
+        shap_gap = min(r.aligned_shap for r in real) - noise.aligned_shap
         if shap_gap != 0.0:
             contrast = dec_gap / shap_gap
         elif dec_gap > 0.0:
@@ -214,20 +200,12 @@ def build_comparison(
     else:
         contrast = math.nan
 
-    flags = dict(ranking.below_floor_flags)
     return ComparisonReport(
-        actor_ids=tuple(ranked_ids),
-        uncertainties=uncertainties,
-        aligned_uncertainty=aligned_unc,
-        shap=shap_values,
-        aligned_shap=aligned_shap,
-        rank_decentralised=tuple(e.estimated_rank for e in ranking.entries),
-        rank_shap=tuple(shap_rank[a] for a in ranked_ids),
-        below_floor=tuple(flags[a] for a in ranked_ids),
+        rows=rows,
         kendall=tau,
         spearman=rho,
         noise_contrast=contrast,
-        noise_actor_id=noise_actor_id if noise_actor_id in set(ranked_ids) else None,
+        noise_actor_id=None if noise is None else NOISE_ACTOR_ID,
     )
 
 
@@ -245,42 +223,18 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> tuple[Path, Pa
     out_dir.mkdir(parents=True, exist_ok=True)
 
     table_path = out_dir / RANK_TABLE_NAME
-    with table_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "actor_id",
-                "uncertainty",
-                "aligned_uncertainty",
-                "shap",
-                "aligned_shap",
-                "rank_dec",
-                "rank_shap",
-                "below_floor",
-            ]
-        )
-        for i, actor_id in enumerate(report.actor_ids):
-            writer.writerow(
-                [
-                    actor_id,
-                    repr(float(report.uncertainties[i])),
-                    repr(float(report.aligned_uncertainty[i])),
-                    repr(float(report.shap[i])),
-                    repr(float(report.aligned_shap[i])),
-                    report.rank_decentralised[i],
-                    report.rank_shap[i],
-                    "true" if report.below_floor[i] else "false",
-                ]
-            )
+    write_csv(
+        table_path, [f.name for f in fields(ComparisonRow)], map(astuple, report.rows)
+    )
 
     summary_path = out_dir / SUMMARY_NAME
     lines = [
-        f"actors={len(report.actor_ids)}",
+        f"actors={len(report.rows)}",
         f"kendall_tau={repr(float(report.kendall))}",
         f"spearman_rho={repr(float(report.spearman))}",
         f"noise_contrast={repr(float(report.noise_contrast))}",
         f"noise_actor={report.noise_actor_id or 'absent'}",
-        "ranking=" + ">".join(report.actor_ids),
+        "ranking=" + ">".join(r.actor_id for r in report.rows),
     ]
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -296,7 +250,7 @@ def _render_chart(report: ComparisonReport) -> str:
     plot_w = width - margin_left - 20
     plot_h = height - margin_top - margin_bottom
 
-    values = list(report.aligned_uncertainty) + list(report.aligned_shap)
+    values = [v for r in report.rows for v in (r.aligned_uncertainty, r.aligned_shap)]
     v_min = min(0.0, min(values))
     v_max = max(values)
     if v_max == v_min:
@@ -305,7 +259,7 @@ def _render_chart(report: ComparisonReport) -> str:
     def y_of(v: float) -> float:
         return margin_top + plot_h * (1 - (v - v_min) / (v_max - v_min))
 
-    n = len(report.actor_ids)
+    n = len(report.rows)
     group_w = plot_w / n
     bar_w = group_w * 0.32
 
@@ -322,13 +276,10 @@ def _render_chart(report: ComparisonReport) -> str:
         f'<line x1="{margin_left}" y1="{baseline:.2f}" x2="{width - 20}" '
         f'y2="{baseline:.2f}" stroke="black" stroke-width="1"/>'
     )
-    for i, actor_id in enumerate(report.actor_ids):
+    for i, row in enumerate(report.rows):
         gx = margin_left + i * group_w
         for k, (value, colour) in enumerate(
-            [
-                (report.aligned_uncertainty[i], "#4477aa"),
-                (report.aligned_shap[i], "#ee6677"),
-            ]
+            [(row.aligned_uncertainty, "#4477aa"), (row.aligned_shap, "#ee6677")]
         ):
             x = gx + group_w * 0.15 + k * bar_w
             top = y_of(max(value, 0.0))
@@ -342,7 +293,7 @@ def _render_chart(report: ComparisonReport) -> str:
         parts.append(
             f'<text x="{label_x:.2f}" y="{label_y:.2f}" text-anchor="end" '
             f'font-size="11" font-family="sans-serif" '
-            f'transform="rotate(-35 {label_x:.2f} {label_y:.2f})">{actor_id}</text>'
+            f'transform="rotate(-35 {label_x:.2f} {label_y:.2f})">{row.actor_id}</text>'
         )
     parts.append(
         f'<rect x="{margin_left}" y="{height - 28}" width="12" height="12" fill="#4477aa"/>'

@@ -28,7 +28,7 @@ import logging
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, Union
@@ -40,6 +40,7 @@ from chaincontrib.dataset import (
     ActorDataset,
     MetricSeries,
     make_noise_actor,
+    write_csv,
 )
 from chaincontrib.ensemble import (
     EnsembleHyper,
@@ -289,7 +290,6 @@ def run_noise_baseline(
     call: CallForUncertainty,
     feature_count: int = DEFAULT_NOISE_FEATURES,
     seed: int = 0,
-    min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> UncertaintyResponse:
     """The coordinator's no-knowledge reference: identical pipeline, noise features."""
     noise = make_noise_actor(
@@ -298,7 +298,7 @@ def run_noise_baseline(
         part_ids=call.metric.part_ids,
         seed=seed,
     )
-    result = handle_call(noise, call, base_seed=seed, min_overlap=min_overlap)
+    result = handle_call(noise, call, base_seed=seed)
     if isinstance(result, Decline):
         raise CampaignError("the noise baseline itself failed to train")
     return result
@@ -306,9 +306,12 @@ def run_noise_baseline(
 
 @dataclass(frozen=True)
 class RankEntry:
+    """One ranked actor; its fields, in order, are a ``ranking.csv`` row."""
+
+    estimated_rank: int
     actor_id: str
     total_uncertainty: float
-    estimated_rank: int
+    below_noise_floor: bool
 
 
 _RANKING_COLUMNS = ["rank", "actor_id", "total_uncertainty", "below_noise_floor"]
@@ -320,13 +323,6 @@ class ContributionRanking:
 
     entries: tuple[RankEntry, ...]
     noise_floor: float
-    below_floor_flags: tuple[tuple[str, bool], ...]
-
-    def flag_for(self, actor_id: str) -> bool:
-        for aid, flagged in self.below_floor_flags:
-            if aid == actor_id:
-                return flagged
-        raise KeyError(actor_id)
 
     def actor_order(self) -> tuple[str, ...]:
         return tuple(entry.actor_id for entry in self.entries)
@@ -338,18 +334,7 @@ class ContributionRanking:
         raise KeyError(actor_id)
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_RANKING_COLUMNS)
-            for entry in self.entries:
-                writer.writerow(
-                    [
-                        entry.estimated_rank,
-                        entry.actor_id,
-                        repr(entry.total_uncertainty),
-                        str(self.flag_for(entry.actor_id)).lower(),
-                    ]
-                )
+        write_csv(path, _RANKING_COLUMNS, map(astuple, self.entries))
 
     @classmethod
     def from_csv(cls, path) -> "ContributionRanking":
@@ -369,20 +354,15 @@ class ContributionRanking:
             raise ValueError(f"{path} contains no ranked actors")
         entries = tuple(
             RankEntry(
+                estimated_rank=int(row["rank"]),
                 actor_id=row["actor_id"],
                 total_uncertainty=float(row["total_uncertainty"]),
-                estimated_rank=int(row["rank"]),
+                below_noise_floor=row["below_noise_floor"] == "true",
             )
             for row in rows
         )
         floor = [e.total_uncertainty for e in entries if e.actor_id == NOISE_ACTOR_ID]
-        return cls(
-            entries=entries,
-            noise_floor=floor[0] if floor else float("nan"),
-            below_floor_flags=tuple(
-                (row["actor_id"], row["below_noise_floor"] == "true") for row in rows
-            ),
-        )
+        return cls(entries=entries, noise_floor=floor[0] if floor else float("nan"))
 
 
 def rank_contributions(
@@ -410,25 +390,19 @@ def rank_contributions(
     everyone = sorted(
         [*responses, noise], key=lambda r: (r.total_uncertainty, r.actor_id)
     )
+    floor = noise.total_uncertainty
     entries = tuple(
         RankEntry(
+            estimated_rank=i + 1,
             actor_id=r.actor_id,
             total_uncertainty=r.total_uncertainty,
-            estimated_rank=i + 1,
+            below_noise_floor=(
+                r.actor_id != noise.actor_id and r.total_uncertainty >= slack * floor
+            ),
         )
         for i, r in enumerate(everyone)
     )
-    floor = noise.total_uncertainty
-    flags = tuple(
-        (
-            r.actor_id,
-            r.actor_id != noise.actor_id and r.total_uncertainty >= slack * floor,
-        )
-        for r in everyone
-    )
-    return ContributionRanking(
-        entries=entries, noise_floor=floor, below_floor_flags=flags
-    )
+    return ContributionRanking(entries=entries, noise_floor=floor)
 
 
 @dataclass(frozen=True)
@@ -693,13 +667,5 @@ def run_campaign(
         for r in responses
     ]
     log["noise_floor"] = noise.total_uncertainty
-    log["ranking"] = [
-        {
-            "rank": e.estimated_rank,
-            "actor_id": e.actor_id,
-            "total_uncertainty": e.total_uncertainty,
-            "below_noise_floor": ranking.flag_for(e.actor_id),
-        }
-        for e in ranking.entries
-    ]
+    log["ranking"] = [dict(zip(_RANKING_COLUMNS, astuple(e))) for e in ranking.entries]
     return ranking, log

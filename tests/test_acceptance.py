@@ -463,8 +463,8 @@ def test_noise_sits_at_alignment_floor(
     """After alignment the noise baseline anchors the decentralised series."""
     for run in fleet_plain.runs:
         report = build_comparison(run.ranking, central_scores_with_noise[run.seed])
-        position = report.actor_ids.index(NOISE_ACTOR_ID)
-        assert report.aligned_uncertainty[position] == min(report.aligned_uncertainty)
+        aligned = {r.actor_id: r.aligned_uncertainty for r in report.rows}
+        assert aligned[NOISE_ACTOR_ID] == min(aligned.values())
 
 
 @pytest.mark.xfail(

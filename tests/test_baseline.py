@@ -607,11 +607,6 @@ def test_aggregate_company_shared_pseudo_actor() -> None:
     assert scores == {"A": pytest.approx(2.0), SHARED_ACTOR_ID: pytest.approx(3.0)}
 
 
-def test_aggregate_company_rejects_short_index() -> None:
-    with pytest.raises(ValueError, match="feature_index"):
-        aggregate_company(small_report(), feature_index=(("A", "x0"),))
-
-
 def test_report_validates_shapes() -> None:
     with pytest.raises(ValueError):
         ShapReport(

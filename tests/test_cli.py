@@ -18,6 +18,7 @@ import pytest
 from chaincontrib import cli
 from chaincontrib.cli import main, parse_config
 from chaincontrib.dataset import NOISE_ACTOR_ID, MetricSeries
+from chaincontrib.protocol import ContributionRanking
 
 FAST_HYPER = {
     "member_count": 2,
@@ -271,6 +272,21 @@ def synth_then(tmp_path: Path, config_path: Path) -> None:
     assert run("synth", "--config", str(config_path)) == 0
 
 
+def assert_log_ranking_is_the_csv(out: Path) -> None:
+    """The campaign log's ranking holds the same rows as ranking.csv."""
+    log = json.loads((out / "campaign_log.json").read_text())
+    read_back = ContributionRanking.from_csv(out / "ranking.csv")
+    assert log["ranking"] == [
+        {
+            "rank": e.estimated_rank,
+            "actor_id": e.actor_id,
+            "total_uncertainty": e.total_uncertainty,
+            "below_noise_floor": e.below_noise_floor,
+        }
+        for e in read_back.entries
+    ]
+
+
 def test_run_decentralised_writes_ranking_and_log(tmp_path) -> None:
     path = write_config(tmp_path)
     synth_then(tmp_path, path)
@@ -283,6 +299,7 @@ def test_run_decentralised_writes_ranking_and_log(tmp_path) -> None:
     log = json.loads((out / "campaign_log.json").read_text())
     assert log["declines"] == [] and log["timeouts"] == []
     assert len(log["responses"]) == 3
+    assert_log_ranking_is_the_csv(out)
 
 
 def test_run_decentralised_rerun_byte_identical(tmp_path) -> None:
@@ -349,6 +366,7 @@ def test_socket_transport_matches_in_process(tmp_path) -> None:
     assert run("run-decentralised", "--config", str(socket_config(tmp_path, path))) == 0
     socket_bytes = [(tmp_path / "run_sock" / "decentralised" / n).read_bytes() for n in names]
     assert socket_bytes == in_process
+    assert_log_ranking_is_the_csv(tmp_path / "run_sock" / "decentralised")
 
 
 def test_socket_coordinator_reads_no_actor_file(tmp_path, monkeypatch) -> None:

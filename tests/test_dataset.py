@@ -25,6 +25,7 @@ from chaincontrib.dataset import (
     make_noise_actor,
     partition_actors,
     save_actor_datasets,
+    write_csv,
 )
 
 
@@ -84,6 +85,23 @@ class TestLoadCsv:
             load_csv(p, id_column="id")
 
 
+class TestWriteCsv:
+    EDGE_FLOATS = [0.1, 1.0 / 3.0, -0.0, 1e16, 5e-324, 1.7976931348623157e308]
+
+    def test_floats_read_back_exactly(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["id", "x"], [(f"P{i}", v) for i, v in enumerate(self.EDGE_FLOATS)])
+        table = load_csv(p, id_column="id")
+        assert [v.hex() for v in table.values[:, 0].tolist()] == [
+            v.hex() for v in self.EDGE_FLOATS
+        ]
+
+    def test_bools_written_lowercase_and_numbers_left_alone(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["id", "flag", "x"], [("P1", True, 1.0), ("P2", False, 0), ("P3", 1, 0.0)])
+        assert p.read_bytes() == b"id,flag,x\r\nP1,true,1.0\r\nP2,false,0\r\nP3,1,0.0\r\n"
+
+
 class TestCleanMeasurements:
     def make_table(self, values, columns=None):
         values = np.asarray(values, dtype=float)
@@ -117,13 +135,6 @@ class TestCleanMeasurements:
         cleaned = clean_measurements(table)
         assert cleaned.n_rows == 8
         assert "P2" not in cleaned.ids and "P7" not in cleaned.ids
-
-    def test_row_drop_can_be_disabled(self):
-        values = np.ones((4, 1))
-        values[0, 0] = np.nan
-        table = self.make_table(values)
-        cleaned = clean_measurements(table, drop_rows_with_missing_targets=False)
-        assert cleaned.n_rows == 4
 
     def test_never_imputes(self):
         # Every surviving cell must exist verbatim in the input.

@@ -5,6 +5,8 @@ scipy.stats is the oracle for the hand-rolled tau-b and Spearman rho.
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from chaincontrib.evaluation import (
     RANK_TABLE_NAME,
     SUMMARY_NAME,
     ComparisonReport,
+    ComparisonRow,
     build_comparison,
     emit_report,
     invert_for_comparison,
@@ -183,6 +186,61 @@ def test_rank_statistics_match_scipy(scores) -> None:
     assert spearman_rho(a, b) == pytest.approx(expected_rho, abs=1e-12)
 
 
+def tau_by_pair_loop(a: list[float], b: list[float]) -> float:
+    """Reference: Kendall tau-b by visiting every pair in Python."""
+    n = len(a)
+    concordant = discordant = ties_a = ties_b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            da = np.sign(a[i] - a[j])
+            db = np.sign(b[i] - b[j])
+            ties_a += da == 0
+            ties_b += db == 0
+            if da != 0 and db != 0:
+                concordant += da == db
+                discordant += da != db
+    n0 = n * (n - 1) // 2
+    return (concordant - discordant) / math.sqrt((n0 - ties_a) * (n0 - ties_b))
+
+
+def average_ranks_by_loop(values: list[float]) -> np.ndarray:
+    """Reference: walk the sorted order and give each run of ties its mean position."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scores=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
+        ),
+        min_size=2,
+        max_size=12,
+    ),
+    scale=st.sampled_from([1.0, 0.1, -2.5]),
+)
+def test_rank_statistics_equal_the_python_loops(scores, scale) -> None:
+    a_vals = [s[0] * scale for s in scores]
+    b_vals = [float(s[1]) for s in scores]
+    if len(set(a_vals)) < 2 or len(set(b_vals)) < 2:
+        return
+    # Zero-padded ids sort in list order, so both sides see the same arrays.
+    a = {f"x{i:02d}": v for i, v in enumerate(a_vals)}
+    b = {f"x{i:02d}": v for i, v in enumerate(b_vals)}
+    assert kendall_tau(a, b) == tau_by_pair_loop(a_vals, b_vals)
+    rho = np.corrcoef(average_ranks_by_loop(a_vals), average_ranks_by_loop(b_vals))[0, 1]
+    assert spearman_rho(a, b) == float(rho)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=8),
@@ -217,13 +275,13 @@ def test_build_comparison_desk_check() -> None:
     # Negated uncertainties (-1,-2,-3) mapped onto the shap span (1,5)
     # give 5, 3, 1: identical to the shap side, so tau = 1.
     report = desk_report()
-    assert report.actor_ids == ("actor-a", "actor-b", NOISE_ACTOR_ID)
-    assert report.aligned_uncertainty == pytest.approx((5.0, 3.0, 1.0))
-    assert report.aligned_shap == pytest.approx((5.0, 3.0, 1.0))
+    assert [r.actor_id for r in report.rows] == ["actor-a", "actor-b", NOISE_ACTOR_ID]
+    assert [r.aligned_uncertainty for r in report.rows] == pytest.approx([5.0, 3.0, 1.0])
+    assert [r.aligned_shap for r in report.rows] == pytest.approx([5.0, 3.0, 1.0])
     assert report.kendall == pytest.approx(1.0)
     assert report.spearman == pytest.approx(1.0)
-    assert report.rank_decentralised == (1, 2, 3)
-    assert report.rank_shap == (1, 2, 3)
+    assert [r.rank_dec for r in report.rows] == [1, 2, 3]
+    assert [r.rank_shap for r in report.rows] == [1, 2, 3]
     # Equal gaps on both sides: contrast ratio 1.
     assert report.noise_contrast == pytest.approx(1.0)
 
@@ -255,29 +313,27 @@ def test_aligned_series_share_endpoints() -> None:
     )
     shap = {"a": 11.0, "b": 2.0, "c": 7.0, "d": 3.0, NOISE_ACTOR_ID: 1.0}
     report = build_comparison(ranking, shap)
-    assert min(report.aligned_uncertainty) == pytest.approx(min(report.aligned_shap))
-    assert max(report.aligned_uncertainty) == pytest.approx(max(report.aligned_shap))
+    aligned_unc = [r.aligned_uncertainty for r in report.rows]
+    aligned_shap = [r.aligned_shap for r in report.rows]
+    assert min(aligned_unc) == pytest.approx(min(aligned_shap))
+    assert max(aligned_unc) == pytest.approx(max(aligned_shap))
 
 
 def test_below_floor_flags_carried_into_report() -> None:
     ranking = make_ranking({"a": 0.5, "b": 5.0}, noise_uncertainty=2.0)
     shap = {"a": 3.0, "b": 1.0, NOISE_ACTOR_ID: 0.5}
     report = build_comparison(ranking, shap)
-    flags = dict(zip(report.actor_ids, report.below_floor))
+    flags = {r.actor_id: r.below_floor for r in report.rows}
     assert flags == {"a": False, "b": True, NOISE_ACTOR_ID: False}
 
 
 def test_report_validates_aligned_endpoints() -> None:
     with pytest.raises(ValueError, match="share min and max"):
         ComparisonReport(
-            actor_ids=("a", "b"),
-            uncertainties=(1.0, 2.0),
-            aligned_uncertainty=(0.0, 1.0),
-            shap=(1.0, 2.0),
-            aligned_shap=(0.0, 2.0),
-            rank_decentralised=(1, 2),
-            rank_shap=(2, 1),
-            below_floor=(False, False),
+            rows=(
+                ComparisonRow("a", 1.0, 0.0, 1.0, 0.0, 1, 2, False),
+                ComparisonRow("b", 2.0, 1.0, 2.0, 2.0, 2, 1, False),
+            ),
             kendall=0.0,
             spearman=0.0,
             noise_contrast=math.nan,
@@ -313,10 +369,36 @@ def test_rank_table_columns_and_order(tmp_path) -> None:
         "rank_dec,rank_shap,below_floor"
     )
     rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == list(report.actor_ids)
+    assert [r[0] for r in rows] == [r.actor_id for r in report.rows]
     assert [int(r[5]) for r in rows] == [1, 2, 3]
     assert float(rows[0][1]) == pytest.approx(1.0)  # raw uncertainty survives
     assert rows[0][7] == "false"
+
+
+def test_rank_table_reads_back_as_the_report_rows(tmp_path) -> None:
+    ranking = make_ranking({"a": 0.5, "b": 5.0, "c": 1.0 / 3.0}, noise_uncertainty=2.0)
+    report = build_comparison(
+        ranking, {"a": 3.0, "b": 0.1, "c": 2.0 / 7.0, NOISE_ACTOR_ID: 0.05}
+    )
+    table, _, _ = emit_report(report, tmp_path)
+    with table.open(newline="", encoding="utf-8") as fh:
+        records = list(csv.DictReader(fh))
+    assert list(records[0]) == [f.name for f in dataclasses.fields(ComparisonRow)]
+    read_back = tuple(
+        ComparisonRow(
+            actor_id=r["actor_id"],
+            uncertainty=float(r["uncertainty"]),
+            aligned_uncertainty=float(r["aligned_uncertainty"]),
+            shap=float(r["shap"]),
+            aligned_shap=float(r["aligned_shap"]),
+            rank_dec=int(r["rank_dec"]),
+            rank_shap=int(r["rank_shap"]),
+            below_floor=r["below_floor"] == "true",
+        )
+        for r in records
+    )
+    assert read_back == report.rows
+    assert {r["below_floor"] for r in records} == {"true", "false"}
 
 
 def test_summary_is_flat_key_value(tmp_path) -> None:

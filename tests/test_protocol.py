@@ -356,19 +356,19 @@ class TestRankContributions:
         assert ranking.actor_order() == ("A", "B", NOISE_ACTOR_ID)
         assert [e.estimated_rank for e in ranking.entries] == [1, 2, 3]
         assert ranking.noise_floor == 2.0
-        assert not ranking.flag_for("A")
-        assert not ranking.flag_for("B")
-        assert not ranking.flag_for(NOISE_ACTOR_ID)
+        assert [e.below_noise_floor for e in ranking.entries] == [False, False, False]
 
     def test_actor_at_or_above_floor_is_flagged(self):
         ranking = rank_contributions(
             [response("A", 2.5)], noise=response(NOISE_ACTOR_ID, 2.0)
         )
-        assert ranking.flag_for("A")
+        assert ranking.entries[1].actor_id == "A"
+        assert ranking.entries[1].below_noise_floor
         exact = rank_contributions(
             [response("A", 2.0)], noise=response(NOISE_ACTOR_ID, 2.0)
         )
-        assert exact.flag_for("A")
+        assert exact.entries[0].actor_id == "A"
+        assert exact.entries[0].below_noise_floor
 
     def test_slack_multiplier_loosens_the_floor(self):
         ranking = rank_contributions(
@@ -376,7 +376,8 @@ class TestRankContributions:
             noise=response(NOISE_ACTOR_ID, 2.0),
             slack=1.5,
         )
-        assert not ranking.flag_for("A")
+        assert ranking.entries[1].actor_id == "A"
+        assert not ranking.entries[1].below_noise_floor
 
     def test_ties_break_lexicographically(self):
         ranking = rank_contributions(
