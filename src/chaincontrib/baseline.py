@@ -12,7 +12,6 @@ validation at small widths.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import comb, factorial
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from chaincontrib.dataset import ActorDataset, MetricSeries, write_csv
+from chaincontrib.dataset import ActorDataset, MetricSeries, load_csv, write_csv
 from chaincontrib.ensemble import (
     EnsembleHyper,
     Member,
@@ -484,16 +483,19 @@ def write_shap_csvs(report: ShapReport, out_dir: str | Path) -> tuple[Path, Path
 
 
 def read_shap_summary(path: str | Path) -> dict[str, float]:
-    """Read back the actor summary written by :func:`write_shap_csvs`."""
-    scores: dict[str, float] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _SUMMARY_COLUMNS:
-            raise ValueError(
-                f"{path} is not an attribution summary (columns {reader.fieldnames})"
-            )
-        for row in reader:
-            scores[row["actor_id"]] = float(row["mean_abs_attribution"])
-    if not scores:
+    """Read back the actor summary written by :func:`write_shap_csvs`.
+
+    A duplicate actor row raises ParseError; a missing or non-finite
+    score raises ValueError.
+    """
+    table = load_csv(path, "actor_id")
+    if table.columns != tuple(_SUMMARY_COLUMNS[1:]):
+        raise ValueError(
+            f"{path} is not an attribution summary (columns {list(table.columns)})"
+        )
+    if not table.n_rows:
         raise ValueError(f"{path} contains no actors")
-    return scores
+    scores = table.values[:, 0]
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"{path}: every actor needs a finite score")
+    return dict(zip(table.ids, scores.tolist()))

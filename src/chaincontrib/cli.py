@@ -45,7 +45,6 @@ from chaincontrib.dataset import (
     NOISE_ACTOR_ID,
     MetricSeries,
     ParseError,
-    RawTable,
     SyntheticSpec,
     build_metric_series,
     clean_measurements,
@@ -275,16 +274,6 @@ def cmd_synth(config: RunConfig) -> int:
     return 0
 
 
-def _feature_subtable(table: RawTable, feature_columns: Sequence[str]) -> RawTable:
-    idx = [table.columns.index(c) for c in feature_columns]
-    return RawTable(
-        id_column=table.id_column,
-        ids=table.ids,
-        columns=tuple(feature_columns),
-        values=table.values[:, idx],
-    )
-
-
 def cmd_ingest(config: RunConfig) -> int:
     data = config.data
     if data.input_csv is None:
@@ -293,52 +282,44 @@ def cmd_ingest(config: RunConfig) -> int:
         raise ConfigError("ingest requires data.actor_schema")
     if not data.measurement_columns:
         raise ConfigError("ingest requires data.measurement_columns")
+    features = {*data.actor_schema, *data.shared_columns}
+    both = [c for c in data.measurement_columns if c in features]
+    if both:
+        raise ConfigError(f"columns both measured and used as features: {both}")
 
     table = load_csv(data.input_csv, data.id_column)
     cleaned = clean_measurements(
-        table,
-        column_missing_threshold=data.column_missing_threshold,
-        measurement_columns=list(data.measurement_columns),
+        table, data.measurement_columns, data.column_missing_threshold
     )
     dropped_columns = [c for c in table.columns if c not in cleaned.columns]
-    dropped_rows = table.n_rows - cleaned.n_rows
     print(f"dropped measurement columns: {len(dropped_columns)}")
     for c in dropped_columns:
         missing = int(round(table.missing_fraction(c) * table.n_rows))
         print(f"  {c}: {missing} of {table.n_rows} values missing")
-    print(f"dropped rows with missing measurements: {dropped_rows}")
 
-    kept_measurements = [c for c in data.measurement_columns if c in cleaned.columns]
-    series = build_metric_series(cleaned, kept_measurements, data.setpoints)
-
-    feature_columns = [
-        c
-        for c in cleaned.columns
-        if c in data.actor_schema or c in data.shared_columns
-    ]
+    measured = [c for c in data.measurement_columns if c in cleaned.columns]
+    companions = [] if data.setpoints is not None else [f"{c}.Setpoint" for c in measured]
+    feature_columns = [c for c in cleaned.columns if c in features]
     if not feature_columns:
         raise ConfigError("actor_schema matches no columns in the cleaned table")
-    features = _feature_subtable(cleaned, feature_columns)
 
-    # Rows with missing feature values leave both sides, keeping the
-    # datasets and the metric aligned on the same part ids.
-    row_ok = ~np.isnan(features.values).any(axis=1)
-    dropped_feature_rows = int((~row_ok).sum())
-    if dropped_feature_rows:
-        print(f"dropped rows with missing feature values: {dropped_feature_rows}")
-        features = RawTable(
-            id_column=features.id_column,
-            ids=tuple(pid for pid, ok in zip(features.ids, row_ok) if ok),
-            columns=features.columns,
-            values=features.values[row_ok],
-        )
-        keep = set(features.ids)
-        series = MetricSeries(
-            part_ids=tuple(p for p in series.part_ids if p in keep),
-            values=np.array([v for p, v in series.entries() if p in keep]),
-        )
+    # A row missing a setpoint or a feature value leaves here, before the
+    # metric is built, so the metric and the datasets cover the same parts.
+    setpoint_gap = np.isnan(cleaned.select(companions).values).any(axis=1)
+    feature_gap = np.isnan(cleaned.select(feature_columns).values).any(axis=1)
+    feature_gap &= ~setpoint_gap
+    keep = ~(setpoint_gap | feature_gap)
+    dropped_rows = table.n_rows - cleaned.n_rows + int(setpoint_gap.sum())
+    print(f"dropped rows with missing measurements: {dropped_rows}")
+    if feature_gap.any():
+        print(f"dropped rows with missing feature values: {int(feature_gap.sum())}")
 
-    datasets = partition_actors(features, data.actor_schema, data.shared_columns)
+    series = build_metric_series(
+        cleaned.select(measured + companions, keep), measured, data.setpoints
+    )
+    datasets = partition_actors(
+        cleaned.select(feature_columns, keep), data.actor_schema, data.shared_columns
+    )
     save_actor_datasets(datasets, config.actor_dir)
     config.metric_path.parent.mkdir(parents=True, exist_ok=True)
     series.to_csv(config.metric_path)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -91,6 +92,18 @@ class RawTable:
             return 0.0
         return float(np.isnan(col).mean())
 
+    def select(self, columns: Sequence[str], rows: np.ndarray | None = None) -> RawTable:
+        """The named columns, in that order, of the rows a boolean mask
+        keeps; every row when ``rows`` is None."""
+        unknown = [c for c in columns if c not in self.columns]
+        if unknown:
+            raise ValueError(f"columns not in table: {unknown}")
+        values = self.values[:, [self.columns.index(c) for c in columns]]
+        ids = self.ids
+        if rows is not None:
+            values, ids = values[rows], tuple(compress(ids, rows))
+        return RawTable(self.id_column, ids, tuple(columns), values)
+
 
 def load_csv(path: str | Path, id_column: str) -> RawTable:
     """Read a UTF-8 CSV with a header row into a RawTable.
@@ -161,51 +174,32 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def clean_measurements(
     table: RawTable,
+    measurement_columns: Sequence[str],
     column_missing_threshold: float = 0.5,
-    measurement_columns: Sequence[str] | None = None,
 ) -> RawTable:
     """Drop unreliable measurement columns, then rows with missing targets.
 
     A measurement column whose missing fraction exceeds the threshold is
     removed entirely (a mostly-dead column indicates a faulty device, not
     recoverable data). Rows still missing one of the surviving measurement
-    values are dropped, never imputed. When ``measurement_columns`` is None
-    every column is treated as a measurement, which makes this a
-    whole-table cleaning pass.
+    values are dropped, never imputed.
     """
     if not 0.0 < column_missing_threshold <= 1.0:
         raise ValueError("column_missing_threshold must be in (0, 1]")
-    if measurement_columns is None:
-        considered = list(table.columns)
-    else:
-        considered = list(measurement_columns)
-        unknown = [c for c in considered if c not in table.columns]
-        if unknown:
-            raise ValueError(f"measurement columns not in table: {unknown}")
+    unknown = [c for c in measurement_columns if c not in table.columns]
+    if unknown:
+        raise ValueError(f"measurement columns not in table: {unknown}")
 
-    dropped_cols = {
-        c for c in considered if table.missing_fraction(c) > column_missing_threshold
+    dropped = {
+        c
+        for c in measurement_columns
+        if table.missing_fraction(c) > column_missing_threshold
     }
-    kept_considered = [c for c in considered if c not in dropped_cols]
-    if considered and not kept_considered:
-        raise ValueError(
-            "all measurement columns exceeded the missing-value threshold"
-        )
-
-    keep_idx = [i for i, c in enumerate(table.columns) if c not in dropped_cols]
-    columns = tuple(table.columns[i] for i in keep_idx)
-    values = table.values[:, keep_idx]
-
-    target_idx = [columns.index(c) for c in kept_considered]
-    row_mask = ~np.isnan(values[:, target_idx]).any(axis=1)
-
-    ids = tuple(pid for pid, keep in zip(table.ids, row_mask) if keep)
-    return RawTable(
-        id_column=table.id_column,
-        ids=ids,
-        columns=columns,
-        values=values[row_mask],
-    )
+    kept = [c for c in measurement_columns if c not in dropped]
+    if measurement_columns and not kept:
+        raise ValueError("all measurement columns exceeded the missing-value threshold")
+    complete = ~np.isnan(table.select(kept).values).any(axis=1)
+    return table.select([c for c in table.columns if c not in dropped], complete)
 
 
 @dataclass(frozen=True)
@@ -322,36 +316,28 @@ def build_metric_series(
     measurement_columns = list(measurement_columns)
     if not measurement_columns:
         raise ValueError("at least one measurement column required")
-    for c in measurement_columns:
-        if c not in table.columns:
-            raise ValueError(f"measurement column {c!r} not in table")
-
-    actuals = np.column_stack([table.column(c) for c in measurement_columns])
+    actuals = table.select(measurement_columns).values
     if setpoints is not None:
         missing = [c for c in measurement_columns if c not in setpoints]
         if missing:
             raise ValueError(f"no setpoint supplied for columns: {missing}")
-        setpoint_rows = np.broadcast_to(
-            np.array([setpoints[c] for c in measurement_columns], dtype=float),
-            actuals.shape,
-        )
+        targets = np.array([setpoints[c] for c in measurement_columns], dtype=float)
     else:
-        companions = [f"{c}.Setpoint" for c in measurement_columns]
-        absent = [c for c in companions if c not in table.columns]
-        if absent:
-            raise ValueError(f"missing setpoint companion columns: {absent}")
-        setpoint_rows = np.column_stack([table.column(c) for c in companions])
+        targets = table.select([f"{c}.Setpoint" for c in measurement_columns]).values
 
-    if np.any(np.isnan(actuals)) or np.any(np.isnan(setpoint_rows)):
+    if np.any(np.isnan(actuals)) or np.any(np.isnan(targets)):
         raise ValueError(
             "missing measurement or setpoint value: cleaning contract violated"
         )
+    if np.any(targets <= 0):
+        raise ValueError("setpoints must be strictly positive")
 
-    values = [
-        aggregate_quality(MeasurementBlock(actuals[i : i + 1], setpoint_rows[i]))
-        for i in range(table.n_rows)
-    ]
-    return MetricSeries(part_ids=table.ids, values=np.asarray(values))
+    # In C order each row is one contiguous block, which NumPy sums in the
+    # same pairwise order as aggregate_quality sums a one-part block, so
+    # row i equals that oracle bit for bit.
+    deviations = np.ascontiguousarray(np.abs(actuals - targets) / targets)
+    values = deviations.sum(axis=1) / len(measurement_columns)
+    return MetricSeries(part_ids=table.ids, values=values)
 
 
 @dataclass(frozen=True)

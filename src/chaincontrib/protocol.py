@@ -341,7 +341,8 @@ class ContributionRanking:
         """Read back a file written by :meth:`to_csv`.
 
         The noise floor is the noise actor's uncertainty, or NaN when the
-        file ranks no noise actor.
+        file ranks no noise actor. A ``below_noise_floor`` cell must be
+        ``true`` or ``false``, as :func:`write_csv` writes it.
         """
         with Path(path).open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -352,12 +353,16 @@ class ContributionRanking:
             rows = sorted(reader, key=lambda row: int(row["rank"]))
         if not rows:
             raise ValueError(f"{path} contains no ranked actors")
+        flags = {"true": True, "false": False}
+        bad = [row["below_noise_floor"] for row in rows if row["below_noise_floor"] not in flags]
+        if bad:
+            raise ValueError(f"{path}: below_noise_floor must be true or false, got {bad}")
         entries = tuple(
             RankEntry(
                 estimated_rank=int(row["rank"]),
                 actor_id=row["actor_id"],
                 total_uncertainty=float(row["total_uncertainty"]),
-                below_noise_floor=row["below_noise_floor"] == "true",
+                below_noise_floor=flags[row["below_noise_floor"]],
             )
             for row in rows
         )

@@ -36,6 +36,7 @@ from chaincontrib.baseline import (
 from chaincontrib.dataset import (
     ActorDataset,
     MetricSeries,
+    ParseError,
     SyntheticSpec,
     generate_synthetic,
     make_noise_actor,
@@ -812,3 +813,27 @@ def test_shap_summary_round_trip(tmp_path) -> None:
     report = small_report()
     _, summary_path = write_shap_csvs(report, tmp_path)
     assert read_shap_summary(summary_path) == aggregate_company(report)
+
+
+@pytest.mark.parametrize(
+    ("body", "error", "match"),
+    [
+        ("a,1.0\na,2.0\nb,0.5\n", ParseError, "duplicate"),
+        ("a,1.0\nb,\n", ValueError, "finite"),
+        ("a,1.0\nb,nan\n", ValueError, "finite"),
+        ("a,inf\nb,0.5\n", ValueError, "finite"),
+        ("", ValueError, "no actors"),
+    ],
+)
+def test_shap_summary_reader_rejects_bad_rows(tmp_path, body, error, match) -> None:
+    path = tmp_path / "shap_summary.csv"
+    path.write_text("actor_id,mean_abs_attribution\n" + body)
+    with pytest.raises(error, match=match):
+        read_shap_summary(path)
+
+
+def test_shap_summary_reader_checks_the_columns(tmp_path) -> None:
+    path = tmp_path / "shap_summary.csv"
+    path.write_text("actor_id,score\na,1.0\n")
+    with pytest.raises(ValueError, match="not an attribution summary"):
+        read_shap_summary(path)

@@ -265,6 +265,46 @@ def test_ingest_requires_schema(tmp_path) -> None:
     assert run("ingest", "--config", str(path)) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"actor_schema": {"f1": "alpha", "m1": "beta"}},
+        {"shared_columns": ["hum", "m1"]},
+    ],
+)
+def test_ingest_measurement_used_as_feature_exits_two(tmp_path, capsys, overrides) -> None:
+    path = ingest_config(tmp_path, **overrides)
+    assert run("ingest", "--config", str(path)) == 2
+    assert "m1" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "data").exists()
+
+
+def test_ingest_blank_setpoint_companion_drops_the_row(tmp_path, capsys) -> None:
+    raw = tmp_path / "companions.csv"
+    with raw.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["part_id", "f1", "m1", "m1.Setpoint"])
+        for i in range(8):
+            setpoint = "" if i == 2 else "10.0"
+            m1 = "" if i == 5 else f"{10.0 + i}"
+            writer.writerow([f"p{i}", f"{float(i)}", m1, setpoint])
+    path = ingest_config(
+        tmp_path,
+        input_csv=str(raw),
+        actor_schema={"f1": "alpha"},
+        shared_columns=[],
+        measurement_columns=["m1"],
+        setpoints=None,
+    )
+    assert run("ingest", "--config", str(path)) == 0
+    output = capsys.readouterr().out
+    assert "dropped rows with missing measurements: 2" in output
+    assert "missing feature values" not in output
+    metric = MetricSeries.from_csv(tmp_path / "run" / "data" / "metric.csv")
+    assert metric.part_ids == ("p0", "p1", "p3", "p4", "p6", "p7")
+    assert metric.values.tolist() == [i / 10.0 for i in (0, 1, 3, 4, 6, 7)]
+
+
 # ------------------------------------------------------------- decentralised
 
 
@@ -527,6 +567,43 @@ def test_compare_mismatched_actor_sets_exits_two(tmp_path) -> None:
 def test_compare_missing_inputs_exits_two(tmp_path) -> None:
     path = write_config(tmp_path)
     assert run("compare", "--config", str(path)) == 2
+
+
+def hand_written_results(tmp_path: Path, flag: str = "false", summary: str = "") -> Path:
+    """A config whose compare section points at small hand-written inputs."""
+    ranking = tmp_path / "ranking.csv"
+    ranking.write_text(
+        "rank,actor_id,total_uncertainty,below_noise_floor\n"
+        f"1,a,0.5,false\n2,b,1.0,{flag}\n3,{NOISE_ACTOR_ID},2.0,false\n"
+    )
+    shap_summary = tmp_path / "shap_summary.csv"
+    shap_summary.write_text(
+        "actor_id,mean_abs_attribution\n"
+        + (summary or f"a,3.0\nb,1.0\n{NOISE_ACTOR_ID},0.1\n")
+    )
+    return write_config(
+        tmp_path, compare={"ranking": str(ranking), "shap_summary": str(shap_summary)}
+    )
+
+
+def test_compare_reads_hand_written_results(tmp_path) -> None:
+    assert run("compare", "--config", str(hand_written_results(tmp_path))) == 0
+
+
+@pytest.mark.parametrize("flag", ["True", "1", "", "FALSE"])
+def test_compare_non_canonical_flag_exits_two(tmp_path, capsys, flag) -> None:
+    path = hand_written_results(tmp_path, flag=flag)
+    assert run("compare", "--config", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "below_noise_floor" in err[0]
+
+
+def test_compare_duplicate_summary_actor_exits_two(tmp_path, capsys) -> None:
+    summary = f"a,1.0\na,2.0\nb,0.5\n{NOISE_ACTOR_ID},0.1\n"
+    path = hand_written_results(tmp_path, summary=summary)
+    assert run("compare", "--config", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "duplicate" in err[0]
 
 
 # --------------------------------------------------------------------- actor

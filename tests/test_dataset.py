@@ -102,6 +102,37 @@ class TestWriteCsv:
         assert p.read_bytes() == b"id,flag,x\r\nP1,true,1.0\r\nP2,false,0\r\nP3,1,0.0\r\n"
 
 
+class TestRawTableSelect:
+    def make_table(self):
+        return RawTable(
+            id_column="id",
+            ids=("P0", "P1", "P2"),
+            columns=("a", "b", "c"),
+            values=np.arange(9.0).reshape(3, 3),
+        )
+
+    def test_columns_come_back_in_the_requested_order(self):
+        table = self.make_table().select(["c", "a"])
+        assert table.columns == ("c", "a")
+        assert table.ids == ("P0", "P1", "P2")
+        np.testing.assert_array_equal(table.values, [[2.0, 0.0], [5.0, 3.0], [8.0, 6.0]])
+
+    def test_mask_keeps_rows_in_order(self):
+        table = self.make_table().select(["b"], np.array([True, False, True]))
+        assert table.ids == ("P0", "P2")
+        assert table.id_column == "id"
+        np.testing.assert_array_equal(table.values, [[1.0], [7.0]])
+
+    def test_no_columns_keeps_the_rows(self):
+        table = self.make_table().select([])
+        assert table.columns == ()
+        assert table.values.shape == (3, 0)
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(ValueError, match="nope"):
+            self.make_table().select(["a", "nope"])
+
+
 class TestCleanMeasurements:
     def make_table(self, values, columns=None):
         values = np.asarray(values, dtype=float)
@@ -116,13 +147,15 @@ class TestCleanMeasurements:
         bad[: n - 12780] = 1.0
         good = np.ones(n)
         table = self.make_table(np.column_stack([good, bad]), ["good", "bad"])
-        cleaned = clean_measurements(table, column_missing_threshold=0.5)
+        cleaned = clean_measurements(
+            table, measurement_columns=list(table.columns), column_missing_threshold=0.5
+        )
         assert cleaned.columns == ("good",)
         assert cleaned.n_rows == n
 
     def test_no_missing_values_is_identity(self):
         table = self.make_table([[1.0, 2.0], [3.0, 4.0]])
-        cleaned = clean_measurements(table)
+        cleaned = clean_measurements(table, measurement_columns=list(table.columns))
         assert cleaned.columns == table.columns
         assert cleaned.ids == table.ids
         np.testing.assert_array_equal(cleaned.values, table.values)
@@ -132,7 +165,7 @@ class TestCleanMeasurements:
         values[2, 0] = np.nan
         values[7, 1] = np.nan
         table = self.make_table(values)
-        cleaned = clean_measurements(table)
+        cleaned = clean_measurements(table, measurement_columns=list(table.columns))
         assert cleaned.n_rows == 8
         assert "P2" not in cleaned.ids and "P7" not in cleaned.ids
 
@@ -142,7 +175,7 @@ class TestCleanMeasurements:
         values = rng.normal(size=(50, 4))
         values[rng.random((50, 4)) < 0.2] = np.nan
         table = self.make_table(values)
-        cleaned = clean_measurements(table)
+        cleaned = clean_measurements(table, measurement_columns=list(table.columns))
         for i, pid in enumerate(cleaned.ids):
             src = table.ids.index(pid)
             for j, col in enumerate(cleaned.columns):
@@ -159,14 +192,18 @@ class TestCleanMeasurements:
     def test_all_columns_dropped_is_an_error(self):
         table = self.make_table(np.full((8, 2), np.nan))
         with pytest.raises(ValueError, match="threshold"):
-            clean_measurements(table)
+            clean_measurements(table, measurement_columns=list(table.columns))
 
     def test_threshold_domain_enforced(self):
         table = self.make_table([[1.0]])
         with pytest.raises(ValueError):
-            clean_measurements(table, column_missing_threshold=0.0)
+            clean_measurements(
+                table, measurement_columns=list(table.columns), column_missing_threshold=0.0
+            )
         with pytest.raises(ValueError):
-            clean_measurements(table, column_missing_threshold=1.5)
+            clean_measurements(
+                table, measurement_columns=list(table.columns), column_missing_threshold=1.5
+            )
 
     def test_unknown_measurement_column_rejected(self):
         table = self.make_table([[1.0]])
@@ -291,12 +328,70 @@ class TestBuildMetricSeries:
         with pytest.raises(ValueError, match="empty"):
             build_metric_series(table, ["m0"], {"m0": 1.0})
 
+    def test_missing_companion_column_rejected(self):
+        table = RawTable(
+            id_column="id", ids=("P1",), columns=("m0",), values=np.array([[1.0]])
+        )
+        with pytest.raises(ValueError, match=r"m0\.Setpoint"):
+            build_metric_series(table, ["m0"], setpoints=None)
+
     def test_missing_setpoint_entry_rejected(self):
         table = RawTable(
             id_column="id", ids=("P1",), columns=("m0",), values=np.array([[1.0]])
         )
         with pytest.raises(ValueError, match="m0"):
             build_metric_series(table, ["m0"], {})
+
+    @pytest.mark.parametrize("companions", [False, True])
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 33])
+    def test_equals_the_per_row_oracle(self, width, companions):
+        # 8 is NumPy's pairwise-summation block: widths either side of it
+        # sum in different orders unless each row is summed as one block.
+        rng = np.random.default_rng(width)
+        n = 300
+        names = [f"m{k}" for k in range(width)]
+        targets = rng.uniform(0.5, 40.0, size=(n, width) if companions else width)
+        actuals = np.broadcast_to(targets, (n, width)) * rng.uniform(0.0, 2.0, (n, width))
+        columns = ["f0", *names]
+        blocks = [rng.normal(size=(n, 1)), actuals]
+        if companions:
+            columns += [f"{c}.Setpoint" for c in names]
+            blocks.append(targets)
+            setpoints = None
+        else:
+            setpoints = dict(zip(names, targets.tolist()))
+        table = RawTable(
+            id_column="id",
+            ids=tuple(f"P{i}" for i in range(n)),
+            columns=tuple(columns),
+            values=np.column_stack(blocks),
+        )
+        series = build_metric_series(table, names, setpoints)
+        rows = np.broadcast_to(targets, (n, width))
+        oracle = [
+            aggregate_quality(MeasurementBlock(actuals[i : i + 1], rows[i]))
+            for i in range(n)
+        ]
+        assert series.values.tolist() == oracle
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    def test_non_positive_mapped_setpoint_rejected(self, bad):
+        table = RawTable(
+            id_column="id", ids=("P1", "P2"), columns=("m0", "m1"), values=np.ones((2, 2))
+        )
+        with pytest.raises(ValueError, match="strictly positive"):
+            build_metric_series(table, ["m0", "m1"], {"m0": 1.0, "m1": bad})
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    def test_non_positive_companion_setpoint_rejected(self, bad):
+        table = RawTable(
+            id_column="id",
+            ids=("P1", "P2"),
+            columns=("m0", "m0.Setpoint"),
+            values=np.array([[1.0, 1.0], [1.0, bad]]),
+        )
+        with pytest.raises(ValueError, match="strictly positive"):
+            build_metric_series(table, ["m0"], setpoints=None)
 
 
 class TestMetricSeries:

@@ -450,6 +450,16 @@ class TestRankContributions:
         ranking.to_csv(tmp_path / "ranking.csv")
         assert ContributionRanking.from_csv(tmp_path / "ranking.csv") == ranking
 
+    @pytest.mark.parametrize("flag", ["True", "1", "", "yes"])
+    def test_csv_reader_rejects_non_canonical_flags(self, tmp_path, flag):
+        path = tmp_path / "ranking.csv"
+        path.write_text(
+            "rank,actor_id,total_uncertainty,below_noise_floor\n"
+            f"1,A,0.5,false\n2,B,1.0,{flag}\n"
+        )
+        with pytest.raises(ValueError, match="below_noise_floor"):
+            ContributionRanking.from_csv(path)
+
 
 class TestInProcessCampaign:
     def test_ranking_with_one_decliner(self):
