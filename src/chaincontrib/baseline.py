@@ -45,7 +45,6 @@ class CentralModel:
 
     member: Member
     normaliser: Normaliser
-    log_variance_clamp: tuple[float, float]
     target_center: float
     target_scale: float
     feature_index: tuple[tuple[str, str], ...]  # per column: (actor_id, column)
@@ -71,7 +70,7 @@ class CentralModel:
 
     def predict_normalised(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`predict` on rows the normaliser has already transformed."""
-        mean, _ = forward(self.member, rows, self.log_variance_clamp)
+        mean, _ = forward(self.member, rows)
         return mean * self.target_scale + self.target_center
 
 
@@ -155,7 +154,6 @@ def train_central(
     return CentralModel(
         member=trained,
         normaliser=normaliser,
-        log_variance_clamp=hyper.log_variance_clamp,
         target_center=center,
         target_scale=scale,
         feature_index=index,

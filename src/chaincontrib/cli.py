@@ -494,13 +494,12 @@ def cmd_compare(config: RunConfig) -> int:
 
 def cmd_actor(args: argparse.Namespace) -> int:
     host, port = _parse_listen(args.listen)
-    server = ActorServer(
+    actor = LocalActor(
         load_actor_dataset(Path(args.data), args.actor_id),
         base_seed=args.seed,
-        host=host,
-        port=port,
         min_overlap=args.min_overlap,
     )
+    server = ActorServer(actor, host=host, port=port)
     bound_host, bound_port = server.address
     print(f"LISTENING {bound_host} {bound_port}", flush=True)
     try:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -280,10 +280,6 @@ class MetricSeries:
 
     def __len__(self) -> int:
         return len(self.part_ids)
-
-    def entries(self) -> Iterator[tuple[str, float]]:
-        for pid, value in zip(self.part_ids, self.values):
-            yield pid, float(value)
 
     def as_mapping(self) -> dict[str, float]:
         return {pid: float(v) for pid, v in zip(self.part_ids, self.values)}

@@ -8,9 +8,10 @@ same pipeline on pure-noise features for a no-knowledge floor and ranks
 all scalars ascending: the lower an actor's uncertainty, the higher its
 estimated contribution.
 
-Messages travel as newline-delimited UTF-8 JSON frames. The in-process
-transport routes through the very same codec as the socket transport,
-so transport independence is structural, not incidental.
+Messages travel as newline-delimited UTF-8 JSON frames. Both transports
+send every frame through one exchange, which records it, decodes the
+reply and checks its kind; they differ only in how bytes reach a peer.
+So transport independence is structural, not incidental.
 
 A transport's ``request(call, local)`` also runs the coordinator's own
 share of the call, ``local()`` (the noise baseline), on the calling
@@ -25,7 +26,9 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import socket
+import socketserver
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
@@ -116,8 +119,8 @@ class CallForUncertainty:
     def __post_init__(self) -> None:
         if len(self.metric) == 0:
             raise ValueError("a call must carry a non-empty metric")
-        if self.response_deadline <= 0:
-            raise ValueError("response_deadline must be positive")
+        if not 0.0 < self.response_deadline < math.inf:
+            raise ValueError("response_deadline must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,9 @@ def decode_message(data: bytes) -> Message:
         raise DecodeError("truncated", "frame must end with a newline")
     try:
         frame = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers;
+        # RecursionError covers over-deep nesting.
         raise DecodeError("malformed", str(exc)) from None
     if not isinstance(frame, dict):
         raise DecodeError("malformed", "frame is not an object")
@@ -217,7 +222,7 @@ def decode_message(data: bytes) -> Message:
                 hyper=hyper,
                 response_deadline=float(_require(frame, "response_deadline")),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DecodeError("malformed", str(exc)) from None
     if kind == "response":
         value = _require(frame, "total_uncertainty")
@@ -229,7 +234,7 @@ def decode_message(data: bytes) -> Message:
                 call_id=call_id,
                 total_uncertainty=float(value),
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise DecodeError("malformed", str(exc)) from None
     if kind == "decline":
         return Decline(actor_id=str(_require(frame, "actor_id")), call_id=call_id)
@@ -243,8 +248,6 @@ def issue_call(
     deadline: float,
 ) -> CallForUncertainty:
     """The one call of a campaign, on the (optionally transformed) metric."""
-    if len(metric) == 0:
-        raise ValueError("cannot issue a call on an empty metric")
     if transform is not None:
         metric = apply_transform(metric, transform)
     return CallForUncertainty(
@@ -452,6 +455,35 @@ class LocalActor:
         return encode_message(reply)
 
 
+def _exchange(
+    transcript: list[TranscriptEntry],
+    peer: str,
+    frame: bytes,
+    send: Callable[[bytes], bytes],
+) -> ActorOutcome:
+    """Send one call frame through ``send`` and decode the reply it returns.
+
+    Both frames go on the transcript. A reply that does not decode, or
+    is not a reply, counts as a timeout: an outcome with no message.
+    """
+    transcript.append(TranscriptEntry("sent", peer, frame))
+    reply_frame = send(frame)
+    transcript.append(TranscriptEntry("received", peer, reply_frame))
+    try:
+        reply = decode_message(reply_frame)
+    except DecodeError as exc:
+        return ActorOutcome(peer=peer, message=None, detail=str(exc))
+    if not isinstance(reply, (UncertaintyResponse, Decline)):
+        return ActorOutcome(peer=peer, message=None, detail="non-reply frame")
+    return ActorOutcome(peer=peer, message=reply)
+
+
+def _send_over(conn: socket.socket, frame: bytes) -> bytes:
+    conn.sendall(frame)
+    with conn.makefile("rb") as stream:
+        return stream.readline(MAX_FRAME_BYTES)
+
+
 class InProcessTransport:
     """Routes frames through the codec without touching the network."""
 
@@ -464,16 +496,10 @@ class InProcessTransport:
     ) -> tuple[list[ActorOutcome], _T]:
         """Ask each actor in turn, then run ``local()``, all on this thread."""
         frame = encode_message(call)
-        outcomes = []
-        for actor in self.actors:
-            peer = actor.dataset.actor_id
-            self.transcript.append(TranscriptEntry("sent", peer, frame))
-            reply_frame = actor.respond(frame)
-            self.transcript.append(TranscriptEntry("received", peer, reply_frame))
-            reply = decode_message(reply_frame)
-            if not isinstance(reply, (UncertaintyResponse, Decline)):
-                raise DecodeError("unknown-kind", "actor sent a non-reply frame")
-            outcomes.append(ActorOutcome(peer=peer, message=reply))
+        outcomes = [
+            _exchange(self.transcript, actor.dataset.actor_id, frame, actor.respond)
+            for actor in self.actors
+        ]
         return outcomes, local()
 
 
@@ -484,125 +510,91 @@ class SocketTransport:
         if not endpoints:
             raise ValueError("at least one endpoint required")
         self.endpoints = list(endpoints)
+        # Query threads append to it; one list.append is atomic.
         self.transcript: list[TranscriptEntry] = []
-        self._lock = threading.Lock()
-
-    def _record(self, direction: str, peer: str, data: bytes) -> None:
-        with self._lock:
-            self.transcript.append(TranscriptEntry(direction, peer, data))
-
-    def _query_one(
-        self, endpoint: tuple[str, int], frame: bytes, deadline: float
-    ) -> ActorOutcome:
-        host, port = endpoint
-        peer = f"{host}:{port}"
-        try:
-            with socket.create_connection((host, port), timeout=deadline) as conn:
-                conn.settimeout(deadline)
-                self._record("sent", peer, frame)
-                conn.sendall(frame)
-                with conn.makefile("rb") as stream:
-                    reply_frame = stream.readline(MAX_FRAME_BYTES)
-        except (OSError, TimeoutError) as exc:
-            return ActorOutcome(peer=peer, message=None, detail=str(exc))
-        self._record("received", peer, reply_frame)
-        try:
-            reply = decode_message(reply_frame)
-        except DecodeError as exc:
-            return ActorOutcome(peer=peer, message=None, detail=str(exc))
-        if not isinstance(reply, (UncertaintyResponse, Decline)):
-            return ActorOutcome(peer=peer, message=None, detail="non-reply frame")
-        return ActorOutcome(peer=peer, message=reply)
 
     def request(
         self, call: CallForUncertainty, local: Callable[[], _T]
     ) -> tuple[list[ActorOutcome], _T]:
         """Query every peer at once and run ``local()`` here while they work.
 
-        Outcomes come back in endpoint order. If ``local`` raises, its
-        error propagates once every query has ended.
+        Each query has one connection under the call's deadline; a peer
+        that cannot be reached, or does not reply in time, counts as a
+        timeout. Outcomes come back in endpoint order. If ``local``
+        raises, its error propagates once every query has ended.
         """
         frame = encode_message(call)
         deadline = call.response_deadline
+
+        def query(endpoint: tuple[str, int]) -> ActorOutcome:
+            host, port = endpoint
+            peer = f"{host}:{port}"
+            try:
+                with socket.create_connection(endpoint, timeout=deadline) as conn:
+                    return _exchange(self.transcript, peer, frame, partial(_send_over, conn))
+            except OSError as exc:
+                return ActorOutcome(peer=peer, message=None, detail=str(exc))
+
         with ThreadPoolExecutor(max_workers=len(self.endpoints)) as pool:
-            pending = [
-                pool.submit(self._query_one, endpoint, frame, deadline)
-                for endpoint in self.endpoints
-            ]
+            pending = [pool.submit(query, endpoint) for endpoint in self.endpoints]
             mine = local()
             return [future.result() for future in pending], mine
 
 
-class ActorServer:
-    """Serves one actor's dataset over a stream socket, one call per connection."""
+class _CallHandler(socketserver.StreamRequestHandler):
+    """Reads one capped call frame and writes the actor's reply."""
 
-    def __init__(
-        self,
-        dataset: ActorDataset,
-        base_seed: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        min_overlap: int = DEFAULT_MIN_OVERLAP,
-        always_decline: bool = False,
-    ):
-        self.actor = LocalActor(
-            dataset=dataset,
-            base_seed=base_seed,
-            min_overlap=min_overlap,
-            always_decline=always_decline,
-        )
-        self._sock = socket.create_server((host, port))
-        self._sock.settimeout(0.2)
-        self._stop = threading.Event()
+    timeout = 10.0
+
+    def handle(self) -> None:
+        frame = self.rfile.readline(MAX_FRAME_BYTES)
+        if not frame:
+            return
+        actor = self.server.actor
+        try:
+            reply = actor.respond(frame)
+        except DecodeError as exc:
+            logger.warning(
+                "actor %s dropping undecodable frame: %s", actor.dataset.actor_id, exc
+            )
+            return
+        self.wfile.write(reply)
+
+
+class ActorServer(socketserver.TCPServer):
+    """Serves one actor over a stream socket, one call per connection."""
+
+    # As socket.create_server does; TCPServer leaves it off by default.
+    allow_reuse_address = True
+
+    def __init__(self, actor: LocalActor, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _CallHandler)
+        self.actor = actor
         self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._sock.getsockname()[:2]
+        host, port = self.server_address[:2]
         return host, port
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            conn.settimeout(10.0)
-            with conn.makefile("rb") as stream:
-                frame = stream.readline(MAX_FRAME_BYTES)
-            if not frame:
-                return
-            try:
-                reply = self.actor.respond(frame)
-            except DecodeError as exc:
-                logger.warning(
-                    "actor %s dropping undecodable frame: %s",
-                    self.actor.dataset.actor_id, exc,
-                )
-                return
-            conn.sendall(reply)
-
-    def serve_forever(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                break
-            try:
-                self._serve_connection(conn)
-            except Exception:  # one bad connection must not stop the actor
-                logger.exception(
-                    "actor %s dropping a connection", self.actor.dataset.actor_id
-                )
+    def handle_error(self, request, client_address) -> None:
+        # One bad connection must not stop the actor.
+        logger.exception("actor %s dropping a connection", self.actor.dataset.actor_id)
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # A 0.2 s poll bounds how long stop() waits for an idle server.
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(0.2,), daemon=True
+        )
         self._thread.start()
 
     def stop(self) -> None:
-        self._stop.set()
-        self._sock.close()
+        # shutdown() would wait forever on a server that was never started.
         if self._thread is not None:
+            self.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.server_close()
 
     def __enter__(self) -> "ActorServer":
         self.start()

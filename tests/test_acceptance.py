@@ -352,7 +352,9 @@ def test_criterion_8_round_trip_and_transport_parity() -> None:
     decliner = datasets[-1].actor_id
 
     servers = [
-        ActorServer(dataset=ds, base_seed=5, always_decline=ds.actor_id == decliner)
+        ActorServer(
+            LocalActor(dataset=ds, base_seed=5, always_decline=ds.actor_id == decliner)
+        )
         for ds in datasets
     ]
     try:

@@ -290,7 +290,8 @@ class TestBuildMetricSeries:
             values=np.array([[2.0, 3.0], [2.0, 3.0]]),
         )
         series = build_metric_series(table, ["m0", "m1"], {"m0": 2.0, "m1": 3.0})
-        assert list(series.entries()) == [("P1", 0.0), ("P2", 0.0)]
+        assert series.part_ids == ("P1", "P2")
+        assert series.values.tolist() == [0.0, 0.0]
 
     def test_single_observation_hand_value(self):
         table = RawTable(

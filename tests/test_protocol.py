@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import socket
+import sys
 import threading
 from contextlib import ExitStack
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,6 +100,30 @@ def call_frame_with_hyper(**hyper) -> bytes:
     raw = json.loads(encode_message(example_call()).decode())
     raw["hyper"].update(hyper)
     return json.dumps(raw).encode() + b"\n"
+
+
+def frame_with(message, **fields) -> bytes:
+    """``message`` encoded, with some fields replaced by raw JSON values."""
+    raw = json.loads(encode_message(message).decode())
+    raw.update(fields)
+    return json.dumps(raw).encode() + b"\n"
+
+
+# JSON parses it, but no float holds it.
+HUGE = int("9" * 400)
+ALPHA_REPLY = UncertaintyResponse("alpha", "call-000001", 0.5)
+
+# Frames that once escaped decode_message as another exception.
+HOSTILE_FRAMES = {
+    "5000-digit-integer": b'{"schema_version": ' + b"9" * 5000 + b"}\n",
+    "deep-nesting": b"[" * 100_000 + b"\n",
+    "huge-uncertainty": frame_with(ALPHA_REPLY, total_uncertainty=HUGE),
+    "huge-deadline": frame_with(example_call(), response_deadline=HUGE),
+    "huge-metric-value": frame_with(example_call(), values=[HUGE, 0.5, 1.0]),
+    "huge-clamp": call_frame_with_hyper(log_variance_clamp=[-HUGE, HUGE]),
+    "nan-deadline": frame_with(example_call(), response_deadline=math.nan),
+    "infinite-deadline": frame_with(example_call(), response_deadline=math.inf),
+}
 
 
 class TestMetricTransform:
@@ -235,6 +262,88 @@ class TestCodec:
         call = example_call(MetricSeries(part_ids=("a", "b", "c"), values=values))
         back = decode_message(encode_message(call))
         np.testing.assert_array_equal(back.metric.values, values)
+
+    @pytest.mark.parametrize("frame", HOSTILE_FRAMES.values(), ids=HOSTILE_FRAMES.keys())
+    def test_hostile_frame_is_malformed(self, frame):
+        with pytest.raises(DecodeError) as err:
+            decode_message(frame)
+        assert err.value.reason == "malformed"
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, math.nan, math.inf])
+    def test_call_needs_a_finite_positive_deadline(self, deadline):
+        with pytest.raises(ValueError, match="positive and finite"):
+            example_call(deadline=deadline)
+
+
+# Integers up to 4 001 digits: json.dumps refuses longer ones.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(10**300, 10**4000)
+    | st.floats()
+    | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# Most field checks are on scalars, so draw one half the time.
+FIELD_VALUES = SCALARS | JSON_VALUES
+VALID_FRAMES = [encode_message(m) for m in (example_call(), ALPHA_REPLY, Decline("alpha", "c"))]
+REAL_KEYS = sorted(set().union(*(json.loads(frame) for frame in VALID_FRAMES)))
+HYPER_KEYS = sorted(EnsembleHyper().to_dict())
+
+
+@st.composite
+def near_frames(draw) -> bytes:
+    """A valid frame with one or two of its fields, hyper fields or metric
+    values replaced by arbitrary JSON values, and maybe one field dropped."""
+    frame = json.loads(draw(st.sampled_from(VALID_FRAMES)))
+    sites = [(frame, key) for key in frame]
+    if frame["kind"] == "call":
+        sites += [(frame["hyper"], key) for key in HYPER_KEYS]
+        sites += [(frame["values"], i) for i in range(len(frame["values"]))]
+    for _ in range(draw(st.integers(1, 2))):
+        owner, key = draw(st.sampled_from(sites))
+        owner[key] = draw(FIELD_VALUES)
+    for key in draw(st.lists(st.sampled_from(REAL_KEYS), max_size=1)):
+        frame.pop(key, None)
+    return json.dumps(frame).encode() + b"\n"
+
+
+class TestCodecFuzz:
+    """decode_message returns a message or raises DecodeError, never more."""
+
+    @staticmethod
+    def decodes_or_rejects(data: bytes) -> None:
+        try:
+            message = decode_message(data)
+        except DecodeError:
+            return
+        assert isinstance(message, (CallForUncertainty, UncertaintyResponse, Decline))
+
+    @given(
+        data=st.binary(max_size=512)
+        | st.binary(max_size=512).map(lambda b: b + b"\n")
+        | JSON_VALUES.map(lambda v: json.dumps(v).encode() + b"\n")
+        # Deep nesting and long digit runs, which the decoder must bound.
+        | st.builds(
+            lambda piece, n: piece * n + b"\n",
+            st.sampled_from([b"[", b'{"a":', b"9"]),
+            st.integers(1, 200_000),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_bytes(self, data):
+        self.decodes_or_rejects(data)
+
+    @given(data=near_frames())
+    @settings(max_examples=500, deadline=None)
+    def test_real_keys_with_arbitrary_values(self, data):
+        self.decodes_or_rejects(data)
 
 
 class TestHandleCall:
@@ -534,6 +643,28 @@ class TestInProcessCampaign:
         with pytest.raises(CampaignError, match="different call"):
             run_campaign(StaleTransport(), small_metric(), None, FAST_HYPER, base_seed=1)
 
+    def test_bad_reply_counts_as_a_timeout(self):
+        call = example_call()
+        liars = [
+            SimpleNamespace(dataset=SimpleNamespace(actor_id=name), respond=respond)
+            for name, respond in [
+                ("garbage", lambda frame: b"not a frame\n"),
+                ("echo", lambda frame: frame),
+            ]
+        ]
+        outcomes, _ = InProcessTransport(liars).request(call, lambda: None)
+        assert [(o.peer, o.message) for o in outcomes] == [("garbage", None), ("echo", None)]
+        assert outcomes[0].detail.startswith("malformed")
+        assert outcomes[1].detail == "non-reply frame"
+
+    def test_failure_inside_an_actor_propagates(self):
+        def broken(frame):
+            raise RuntimeError("actor blew up")
+
+        liar = SimpleNamespace(dataset=SimpleNamespace(actor_id="alpha"), respond=broken)
+        with pytest.raises(RuntimeError, match="blew up"):
+            InProcessTransport([liar]).request(example_call(), lambda: None)
+
     def test_transcript_privacy_surface(self):
         datasets, metric = synth_actors(seed=1, weights=(3.0, 1.0))
         actors = [LocalActor(dataset=d, base_seed=2) for d in datasets]
@@ -641,7 +772,9 @@ def test_noise_failure_outranks_declines(route):
             )
         else:
             servers = [
-                stack.enter_context(ActorServer(d, base_seed=1, always_decline=True))
+                stack.enter_context(
+                    ActorServer(LocalActor(dataset=d, base_seed=1, always_decline=True))
+                )
                 for d in datasets
             ]
             transport = SocketTransport([s.address for s in servers])
@@ -653,6 +786,41 @@ def test_noise_failure_outranks_declines(route):
     assert len(received) == len(datasets)
 
 
+def reply_once(listener: socket.socket, reply: bytes) -> None:
+    """Accept one connection, read its frame and send ``reply``."""
+    conn, _ = listener.accept()
+    with conn, conn.makefile("rb") as stream:
+        stream.readline()
+        conn.sendall(reply)
+
+
+@pytest.mark.parametrize("route", ["in-process", "sockets"])
+def test_hostile_reply_counts_as_a_timeout(route):
+    datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
+    honest = LocalActor(dataset=datasets[0], base_seed=6)
+    hostile = HOSTILE_FRAMES["huge-uncertainty"]
+    with ExitStack() as stack:
+        if route == "in-process":
+            liar = SimpleNamespace(
+                dataset=SimpleNamespace(actor_id="liar"), respond=lambda frame: hostile
+            )
+            transport = InProcessTransport([honest, liar])
+        else:
+            server = stack.enter_context(ActorServer(honest))
+            listener = stack.enter_context(socket.create_server(("127.0.0.1", 0)))
+            peer = threading.Thread(target=reply_once, args=(listener, hostile), daemon=True)
+            peer.start()
+            stack.callback(peer.join, 10.0)
+            transport = SocketTransport([server.address, listener.getsockname()[:2]])
+        ranking, log = run_campaign(
+            transport, metric, None, FAST_HYPER, base_seed=6, noise_feature_count=2
+        )
+    assert sorted(ranking.actor_order()) == sorted([datasets[0].actor_id, NOISE_ACTOR_ID])
+    [timeout] = log["timeouts"]
+    assert timeout["detail"].startswith("malformed")
+    assert log["declines"] == []
+
+
 class TestSocketTransport:
     def test_socket_equals_in_process(self):
         datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
@@ -662,7 +830,7 @@ class TestSocketTransport:
         expected, _ = run_campaign(
             in_process, metric, None, FAST_HYPER, base_seed=6, noise_feature_count=2
         )
-        servers = [ActorServer(d, base_seed=6) for d in datasets]
+        servers = [ActorServer(LocalActor(dataset=d, base_seed=6)) for d in datasets]
         try:
             for server in servers:
                 server.start()
@@ -677,7 +845,7 @@ class TestSocketTransport:
 
     def test_socket_transcript_one_scalar_per_actor(self):
         datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
-        servers = [ActorServer(d, base_seed=6) for d in datasets]
+        servers = [ActorServer(LocalActor(dataset=d, base_seed=6)) for d in datasets]
         try:
             for server in servers:
                 server.start()
@@ -697,7 +865,7 @@ class TestSocketTransport:
 
     def test_unreachable_endpoint_counts_as_timeout(self):
         datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
-        server = ActorServer(datasets[0], base_seed=6)
+        server = ActorServer(LocalActor(dataset=datasets[0], base_seed=6))
         # Reserve a port with no listener behind it.
         placeholder = socket.socket()
         placeholder.bind(("127.0.0.1", 0))
@@ -722,7 +890,7 @@ class TestSocketTransport:
 
     def test_server_ignores_garbage_frames(self):
         datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
-        with ActorServer(datasets[0], base_seed=6) as server:
+        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             with socket.create_connection(server.address, timeout=5.0) as conn:
                 conn.sendall(b"this is not a frame\n")
                 with conn.makefile("rb") as stream:
@@ -741,10 +909,29 @@ class TestSocketTransport:
             with conn.makefile("rb") as stream:
                 return stream.readline()
 
+    def test_server_answers_after_a_burst_of_garbage(self):
+        datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
+        rng = np.random.default_rng(13)
+        noise = [rng.bytes(n).replace(b"\n", b"") + b"\n" for n in (1, 7, 64, 512, 4096)]
+        garbage = [
+            *HOSTILE_FRAMES.values(),
+            *(call_frame_with_hyper(**hyper) for hyper in BAD_HYPER),
+            *noise,
+            encode_message(ALPHA_REPLY),
+            encode_message(Decline("alpha", "call-000001")),
+            b"\n",
+            b"null\n",
+        ]
+        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+            # One connection at a time: each frame is dropped without a reply.
+            assert [self.ask(server, frame) for frame in garbage] == [b""] * len(garbage)
+            reply = decode_message(self.ask(server, encode_message(example_call())))
+            assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+
     @pytest.mark.parametrize("hyper", BAD_HYPER, ids=lambda h: next(iter(h)))
     def test_server_survives_invalid_hyper(self, hyper):
         datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
-        with ActorServer(datasets[0], base_seed=6) as server:
+        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             assert self.ask(server, call_frame_with_hyper(**hyper)) == b""
             # A valid call is still answered: no overlap, so a decline.
             reply = decode_message(self.ask(server, encode_message(example_call())))
@@ -760,7 +947,7 @@ class TestSocketTransport:
         # a decline, once training starts.
         monkeypatch.setattr(protocol, "train_ensemble", broken_training)
         call = CallForUncertainty("call-000001", metric, FAST_HYPER, 30.0)
-        with ActorServer(datasets[0], base_seed=6) as server:
+        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             assert self.ask(server, encode_message(call)) == b""
             reply = decode_message(self.ask(server, encode_message(example_call())))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
@@ -770,7 +957,7 @@ class TestSocketTransport:
         frame = encode_message(example_call())
         # Valid JSON if read whole: the padding is whitespace.
         oversized = frame[:-1] + b" " * protocol.MAX_FRAME_BYTES + b"\n"
-        with ActorServer(datasets[0], base_seed=6) as server:
+        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             try:
                 assert self.ask(server, oversized) == b""
             except (ConnectionResetError, BrokenPipeError):
@@ -782,7 +969,7 @@ class TestSocketTransport:
     def test_server_drops_unterminated_frame(self):
         datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
         frame = encode_message(example_call())
-        with ActorServer(datasets[0], base_seed=6) as server:
+        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             with socket.create_connection(server.address, timeout=5.0) as conn:
                 conn.sendall(frame[:-1])
                 conn.shutdown(socket.SHUT_WR)
@@ -790,6 +977,29 @@ class TestSocketTransport:
                     assert stream.readline() == b""
             reply = decode_message(self.ask(server, frame))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+
+    def test_concurrent_queries_lose_no_transcript_entry(self):
+        # More peers than cores, and a short switch interval, so query
+        # threads interleave their transcript appends as often as they can.
+        datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
+        interval = sys.getswitchinterval()
+        with ExitStack() as stack:
+            servers = [
+                stack.enter_context(
+                    ActorServer(LocalActor(dataset=datasets[0], base_seed=6, always_decline=True))
+                )
+                for _ in range(8)
+            ]
+            transport = SocketTransport([s.address for s in servers])
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(10):
+                    outcomes, _ = transport.request(example_call(deadline=10.0), lambda: None)
+                    assert all(isinstance(o.message, Decline) for o in outcomes)
+            finally:
+                sys.setswitchinterval(interval)
+        directions = [t.direction for t in transport.transcript]
+        assert directions.count("sent") == directions.count("received") == 80
 
     def test_local_share_runs_while_peers_work(self):
         listener = socket.create_server(("127.0.0.1", 0))
