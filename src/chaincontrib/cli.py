@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import select
 import subprocess
 import sys
@@ -72,6 +73,7 @@ from chaincontrib.protocol import (
     MetricTransform,
     SocketTransport,
     derive_seed,
+    require_deadline,
     run_campaign,
 )
 
@@ -138,7 +140,7 @@ class CampaignConfig:
 
 
 _CAMPAIGN_CONVERT = {
-    "deadline": float,
+    "deadline": require_deadline,
     "noise_feature_count": partial(require_int, "noise_feature_count"),
     "slack": float,
     "min_overlap": partial(require_int, "min_overlap"),
@@ -337,6 +339,8 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 # Seconds the socket route waits, in all, for its actors' LISTENING lines.
 SPAWN_TIMEOUT_S = 60.0
+# The actors share this host: one BLAS thread each, unless the caller set one.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _actor_command(
@@ -368,11 +372,12 @@ def _spawn_actors(
     Each started process is appended to ``processes`` straight away, so
     the caller stops all of them when any fails or stays silent.
     """
+    env = {var: "1" for var in BLAS_THREAD_VARS} | dict(os.environ)
     for actor_id in actor_ids:
         command = _actor_command(
             config.actor_dir, actor_id, config.seed, config.campaign.min_overlap
         )
-        processes.append(subprocess.Popen(command, stdout=subprocess.PIPE, text=True))
+        processes.append(subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env))
     give_up = time.monotonic() + SPAWN_TIMEOUT_S
     endpoints = []
     for actor_id, proc in zip(actor_ids, processes):
@@ -387,9 +392,13 @@ def _spawn_actors(
 
 
 def cmd_run_decentralised(config: RunConfig) -> int:
+    out = config.out / "decentralised"
+    ranking_path, log_path = out / "ranking.csv", out / "campaign_log.json"
+    # A failed run must not leave an earlier run's results for compare.
+    for path in (ranking_path, log_path):
+        path.unlink(missing_ok=True)
     metric = MetricSeries.from_csv(config.metric_path)
     transform = _unit_spread_transform(metric)
-    out = config.out / "decentralised"
     out.mkdir(parents=True, exist_ok=True)
     cc = config.campaign
 
@@ -428,9 +437,7 @@ def cmd_run_decentralised(config: RunConfig) -> int:
                 proc.wait()
             proc.stdout.close()
 
-    ranking_path = out / "ranking.csv"
     ranking.to_csv(ranking_path)
-    log_path = out / "campaign_log.json"
     log_path.write_text(json.dumps(log, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"ranked {len(ranking.entries)} actors (noise floor {ranking.noise_floor:.6g})")
     if log["declines"]:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from chaincontrib.dataset import ActorDataset, MetricSeries, require_int
+from chaincontrib.dataset import require_int
 
 
 class TrainingError(RuntimeError):
@@ -512,7 +512,7 @@ class Ensemble:
     normaliser: Normaliser
     log_variance_clamp: tuple[float, float]
     training_log: tuple[tuple[tuple[int, float], ...], ...]
-    validation_part_ids: tuple[str, ...]
+    validation_rows: np.ndarray  # held out, raw; what total_uncertainty scores
 
     def __post_init__(self) -> None:
         if len(self.members) < 2:
@@ -522,6 +522,11 @@ class Ensemble:
         seeds = [m.rng_seed for m in self.members]
         if len(set(seeds)) != len(seeds):
             raise ValueError("member seeds must be pairwise distinct")
+        rows = np.array(self.validation_rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[0] == 0:
+            raise ValueError("an ensemble needs a non-empty 2-d set of validation rows")
+        rows.setflags(write=False)
+        object.__setattr__(self, "validation_rows", rows)
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(
             self,
@@ -558,24 +563,20 @@ class PredictiveSummary:
 
 
 def train_ensemble(
-    dataset: ActorDataset,
-    targets: MetricSeries,
+    features: np.ndarray,
+    targets: np.ndarray,
     hyper: EnsembleHyper,
     base_seed: int,
 ) -> Ensemble:
-    """Train all members on the identical aligned split; seeds base_seed+m.
+    """Train all members on one chronological split of the aligned rows
+    (as ``ActorDataset.align`` returns them); seeds base_seed+m.
 
     Diversity comes purely from member initialisation: every member sees
     the full training split (no bagging).
     """
-    features, y, ids = dataset.align(targets)
-    if features.shape[0] == 0:
-        raise ValueError(
-            f"no part ids shared between actor {dataset.actor_id!r} and the metric"
-        )
-    train_slice, val_slice = _chronological_split(
-        features.shape[0], hyper.validation_fraction
-    )
+    if len(features) == 0:
+        raise ValueError("no rows to train on")
+    train_slice, val_slice = _chronological_split(len(features), hyper.validation_fraction)
     normaliser = Normaliser.fit(features[train_slice])
     members, logs = _train_lockstep(
         [
@@ -583,7 +584,7 @@ def train_ensemble(
             for m in range(hyper.member_count)
         ],
         normaliser.transform(features),
-        y,
+        targets,
         hyper,
     )
     return Ensemble(
@@ -591,7 +592,7 @@ def train_ensemble(
         normaliser=normaliser,
         log_variance_clamp=hyper.log_variance_clamp,
         training_log=tuple(tuple(log) for log in logs),
-        validation_part_ids=tuple(ids[val_slice]),
+        validation_rows=features[val_slice],
     )
 
 
@@ -633,26 +634,11 @@ def predict(ensemble: Ensemble, x: np.ndarray) -> PredictiveSummary:
     )
 
 
-def total_uncertainty(
-    ensemble: Ensemble,
-    dataset: ActorDataset,
-    targets: MetricSeries | None = None,
-) -> float:
+def total_uncertainty(ensemble: Ensemble) -> float:
     """Scalar uncertainty an actor reports: mean total predictive variance
-    over the held-out validation rows.
+    over the ensemble's held-out validation rows.
 
-    Reads feature rows only. The optional metric series is used purely to
-    assert that the validation part ids are still present; its values
-    never enter the computation, so the report leaks no label information.
+    Reads feature rows only, so the report carries no label information.
     """
-    if not ensemble.validation_part_ids:
-        raise ValueError("ensemble has an empty validation set")
-    if targets is not None:
-        known = set(targets.part_ids)
-        missing = [pid for pid in ensemble.validation_part_ids if pid not in known]
-        if missing:
-            raise ValueError(f"validation part ids missing from metric: {missing[:3]}")
-    _, knowledge, data = _decompose(
-        ensemble, dataset.rows_for(ensemble.validation_part_ids)
-    )
+    _, knowledge, data = _decompose(ensemble, ensemble.validation_rows)
     return float(np.mean(knowledge + data))

@@ -26,7 +26,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import socket
 import socketserver
 import threading
@@ -109,6 +108,14 @@ def apply_transform(series: MetricSeries, transform: MetricTransform) -> MetricS
     )
 
 
+def require_deadline(seconds) -> float:
+    """``seconds`` as a float, if positive and at most the longest socket timeout."""
+    if not 0.0 < seconds <= threading.TIMEOUT_MAX:
+        limit = f"at most {threading.TIMEOUT_MAX:g} s"
+        raise ValueError(f"deadline must be positive and finite, {limit}")
+    return float(seconds)
+
+
 @dataclass(frozen=True)
 class CallForUncertainty:
     call_id: str
@@ -119,8 +126,7 @@ class CallForUncertainty:
     def __post_init__(self) -> None:
         if len(self.metric) == 0:
             raise ValueError("a call must carry a non-empty metric")
-        if not 0.0 < self.response_deadline < math.inf:
-            raise ValueError("response_deadline must be positive and finite")
+        require_deadline(self.response_deadline)
 
 
 @dataclass(frozen=True)
@@ -267,17 +273,17 @@ def handle_call(
     data, model parameters, row counts, and failure diagnostics stay on
     the actor's side.
     """
-    overlap = set(actor.part_ids) & set(call.metric.part_ids)
-    if len(overlap) < min_overlap:
+    features, targets, _ = actor.align(call.metric)
+    if len(targets) < min_overlap:
         logger.info(
             "actor %s declining call %s: overlap %d below minimum %d",
-            actor.actor_id, call.call_id, len(overlap), min_overlap,
+            actor.actor_id, call.call_id, len(targets), min_overlap,
         )
         return Decline(actor_id=actor.actor_id, call_id=call.call_id)
     seed = derive_seed(base_seed, actor.actor_id)
     try:
-        ensemble = train_ensemble(actor, call.metric, call.hyper, base_seed=seed)
-        scalar = total_uncertainty(ensemble, actor, call.metric)
+        ensemble = train_ensemble(features, targets, call.hyper, base_seed=seed)
+        scalar = total_uncertainty(ensemble)
     except (TrainingError, ValueError) as exc:
         logger.warning(
             "actor %s declining call %s after local failure: %s",

@@ -157,7 +157,7 @@ def test_criterion_2_total_variance_matches_sampled_mixture() -> None:
             ),
             log_variance_clamp=(-10.0, 10.0),
             training_log=((),) * member_count,
-            validation_part_ids=("p-0",),
+            validation_rows=np.zeros((1, 1)),
         )
         total = predict(ensemble, np.zeros(1)).total_variance
 

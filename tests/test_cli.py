@@ -378,6 +378,60 @@ def test_run_decentralised_all_decline_exits_three(tmp_path) -> None:
     assert run("run-decentralised", "--config", str(path)) == 3
 
 
+def test_failed_run_leaves_no_earlier_results(tmp_path) -> None:
+    path = write_config(tmp_path)
+    synth_then(tmp_path, path)
+    assert run("run-decentralised", "--config", str(path)) == 0
+    out = tmp_path / "run" / "decentralised"
+    failing = write_config(
+        tmp_path, "failing.json", campaign={"noise_feature_count": 4, "min_overlap": 10**6}
+    )
+    assert run("run-decentralised", "--config", str(failing)) == 3
+    # compare must not find the previous run's ranking.
+    assert not (out / "ranking.csv").exists()
+    assert not (out / "campaign_log.json").exists()
+
+
+@pytest.mark.parametrize("transport", cli.TRANSPORTS)
+@pytest.mark.parametrize("deadline", [1e300, 0.0])
+def test_deadline_out_of_range_exits_two_before_any_actor_starts(
+    tmp_path, monkeypatch, capsys, transport, deadline
+) -> None:
+    synth_then(tmp_path, write_config(tmp_path))
+    path = write_config(
+        tmp_path,
+        "deadline.json",
+        transport=transport,
+        campaign={"noise_feature_count": 4, "deadline": deadline},
+    )
+
+    def no_actor(*args, **kwargs):
+        raise AssertionError("an actor process was started")
+
+    monkeypatch.setattr(cli.subprocess, "Popen", no_actor)
+    assert run("run-decentralised", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: campaign section invalid") and "deadline" in err
+
+
+def test_spawned_actors_default_to_one_blas_thread(tmp_path, monkeypatch) -> None:
+    path = write_config(tmp_path, transport="sockets")
+    synth_then(tmp_path, path)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")  # the caller's choice stands
+    envs = []
+
+    def record_env(command, **kwargs):
+        envs.append(kwargs["env"])
+        raise OSError("not started")
+
+    monkeypatch.setattr(cli.subprocess, "Popen", record_env)
+    assert run("run-decentralised", "--config", str(path)) == 2
+    assert [env["OPENBLAS_NUM_THREADS"] for env in envs] == ["1"]
+    assert envs[0]["MKL_NUM_THREADS"] == "1" and envs[0]["OMP_NUM_THREADS"] == "3"
+
+
 def test_run_decentralised_missing_data_exits_two(tmp_path) -> None:
     path = write_config(tmp_path)
     assert run("run-decentralised", "--config", str(path)) == 2

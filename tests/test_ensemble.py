@@ -15,6 +15,7 @@ from chaincontrib.ensemble import (
     Normaliser,
     PredictiveSummary,
     TrainingError,
+    _decompose,
     forward,
     init_member,
     loss_and_gradients,
@@ -55,13 +56,13 @@ def identity_normaliser(width: int) -> Normaliser:
     )
 
 
-def hand_ensemble(members, width: int = 3, val_ids=("P0",)) -> Ensemble:
+def hand_ensemble(members, width: int = 3, val_rows=None) -> Ensemble:
     return Ensemble(
         members=tuple(members),
         normaliser=identity_normaliser(width),
         log_variance_clamp=(-10.0, 10.0),
         training_log=tuple(() for _ in members),
-        validation_part_ids=tuple(val_ids),
+        validation_rows=np.zeros((1, width)) if val_rows is None else val_rows,
     )
 
 
@@ -508,17 +509,17 @@ def make_actor_data(seed=0, rows=200, c=2.0):
 class TestTrainEnsemble:
     def test_members_have_distinct_seeds_and_shared_normaliser(self):
         dataset, metric = make_actor_data()
-        ensemble = train_ensemble(dataset, metric, SMALL_HYPER, base_seed=100)
+        ensemble = train_ensemble(*dataset.align(metric)[:2], SMALL_HYPER, base_seed=100)
         assert [m.rng_seed for m in ensemble.members] == [100, 101]
         assert ensemble.member_count == 2
         assert len(ensemble.training_log) == 2
-        # Validation ids are the chronological tail of the aligned join.
-        assert ensemble.validation_part_ids == dataset.part_ids[-40:]
+        # Validation rows are the chronological tail of the aligned join.
+        assert np.array_equal(ensemble.validation_rows, dataset.features[-40:])
 
     def test_constant_target_all_members_converge(self):
         dataset, metric = make_actor_data()
-        ensemble = train_ensemble(dataset, metric, SMALL_HYPER, base_seed=20)
-        rows = dataset.rows_for(ensemble.validation_part_ids)
+        ensemble = train_ensemble(*dataset.align(metric)[:2], SMALL_HYPER, base_seed=20)
+        rows = ensemble.validation_rows
         for member in ensemble.members:
             mu, _ = forward(
                 member,
@@ -530,8 +531,8 @@ class TestTrainEnsemble:
     def test_empty_join_rejected(self):
         dataset, _ = make_actor_data()
         other = MetricSeries(part_ids=("Q1",), values=np.array([1.0]))
-        with pytest.raises(ValueError, match="no part ids"):
-            train_ensemble(dataset, other, SMALL_HYPER, base_seed=0)
+        with pytest.raises(ValueError, match="no rows"):
+            train_ensemble(*dataset.align(other)[:2], SMALL_HYPER, base_seed=0)
 
 
 # Plus a keep probability whose inverse, 1 / 0.7, is inexact.
@@ -575,8 +576,8 @@ class TestLockstepEquivalence:
     @pytest.mark.parametrize("member_count", [2, 5])
     def test_members_match_reference_one_at_a_time(self, case, member_count):
         dataset, metric, hyper = lockstep_case(case, member_count, seed=member_count)
-        ensemble = train_ensemble(dataset, metric, hyper, base_seed=40)
         features, targets, _ = dataset.align(metric)
+        ensemble = train_ensemble(features, targets, hyper, base_seed=40)
         normalised = ensemble.normaliser.transform(features)
         for member, log in zip(ensemble.members, ensemble.training_log):
             start = init_member(3, hyper.hidden_size, seed=member.rng_seed)
@@ -599,7 +600,7 @@ class TestLockstepEquivalence:
         dataset, metric, hyper = self.poisoned()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match=r"epoch 1 \(seed 4[0-4]\)"):
-                train_ensemble(dataset, metric, hyper, base_seed=40)
+                train_ensemble(*dataset.align(metric)[:2], hyper, base_seed=40)
 
     def test_nonfinite_loss_becomes_decline(self):
         from chaincontrib.protocol import CallForUncertainty, Decline, handle_call
@@ -724,51 +725,51 @@ class TestTotalUncertainty:
         dataset = self.make_dataset()
         ensemble = hand_ensemble(
             [constant_member(0.0, 0.0, seed=1), constant_member(0.0, 0.0, seed=2)],
-            val_ids=dataset.part_ids[-2:],
+            val_rows=dataset.features[-2:],
         )
-        assert total_uncertainty(ensemble, dataset) == 1.0
+        assert total_uncertainty(ensemble) == 1.0
 
     def test_two_member_hand_case_reports_mixture_variance(self):
         # Means 0 and 2 at unit variance: knowledge 1 plus data 1 per row.
         dataset = self.make_dataset()
         ensemble = hand_ensemble(
             [constant_member(0.0, 0.0, seed=1), constant_member(2.0, 0.0, seed=2)],
-            val_ids=dataset.part_ids[-3:],
+            val_rows=dataset.features[-3:],
         )
-        assert total_uncertainty(ensemble, dataset) == 2.0
+        assert total_uncertainty(ensemble) == 2.0
 
     def test_deterministic(self):
         dataset, metric = make_actor_data()
-        ensemble = train_ensemble(dataset, metric, SMALL_HYPER, base_seed=3)
-        assert total_uncertainty(ensemble, dataset) == total_uncertainty(ensemble, dataset)
-
-    def test_metric_values_never_read(self):
-        dataset, metric = make_actor_data()
-        ensemble = train_ensemble(dataset, metric, SMALL_HYPER, base_seed=3)
-        plain = total_uncertainty(ensemble, dataset)
-        scrambled = MetricSeries(
-            part_ids=metric.part_ids,
-            values=np.full(len(metric), 1e6),
-        )
-        assert total_uncertainty(ensemble, dataset, scrambled) == plain
-
-    def test_missing_validation_id_in_metric_rejected(self):
-        dataset, metric = make_actor_data()
-        ensemble = train_ensemble(dataset, metric, SMALL_HYPER, base_seed=3)
-        truncated = MetricSeries(
-            part_ids=metric.part_ids[:-1], values=metric.values[:-1]
-        )
-        with pytest.raises(ValueError, match="missing"):
-            total_uncertainty(ensemble, dataset, truncated)
+        ensemble = train_ensemble(*dataset.align(metric)[:2], SMALL_HYPER, base_seed=3)
+        assert total_uncertainty(ensemble) == total_uncertainty(ensemble)
 
     def test_empty_validation_set_rejected(self):
-        dataset = self.make_dataset()
+        with pytest.raises(ValueError, match="empty"):
+            hand_ensemble(
+                [constant_member(0, 0, seed=1), constant_member(0, 0, seed=2)],
+                val_rows=np.zeros((0, 3)),
+            )
+
+    def test_scores_the_held_out_tail_of_the_aligned_rows(self):
+        # The report is _decompose over the last validation_fraction of the
+        # rows train_ensemble was given, and nothing else, bit for bit.
+        dataset, metric = make_actor_data(rows=203)
+        features, targets, _ = dataset.align(metric)
+        ensemble = train_ensemble(features, targets, SMALL_HYPER, base_seed=3)
+        held_out = features[-max(1, int(203 * SMALL_HYPER.validation_fraction)) :]
+        _, knowledge, data = _decompose(ensemble, held_out)
+        assert total_uncertainty(ensemble) == float(np.mean(knowledge + data))
+
+    def test_validation_rows_are_read_only(self):
+        rows = np.ones((2, 3))
         ensemble = hand_ensemble(
             [constant_member(0, 0, seed=1), constant_member(0, 0, seed=2)],
-            val_ids=(),
+            val_rows=rows,
         )
-        with pytest.raises(ValueError, match="empty"):
-            total_uncertainty(ensemble, dataset)
+        rows[0, 0] = 5.0  # the caller's array stays the caller's
+        assert ensemble.validation_rows[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ensemble.validation_rows[0, 0] = 5.0
 
 
 def test_breaking_the_decomposition_fails_both_oracles(monkeypatch):

@@ -274,6 +274,14 @@ class TestCodec:
         with pytest.raises(ValueError, match="positive and finite"):
             example_call(deadline=deadline)
 
+    @pytest.mark.parametrize("deadline", [threading.TIMEOUT_MAX * 1.001, 1e300])
+    def test_deadline_beyond_a_socket_timeout_is_rejected(self, deadline):
+        with pytest.raises(ValueError, match="at most"):
+            example_call(deadline=deadline)
+        with pytest.raises(DecodeError) as err:
+            decode_message(frame_with(example_call(), response_deadline=deadline))
+        assert err.value.reason == "malformed"
+
 
 # Integers up to 4 001 digits: json.dumps refuses longer ones.
 SCALARS = (
@@ -363,6 +371,27 @@ class TestHandleCall:
         call = example_call(metric)
         result = handle_call(datasets[0], call, base_seed=1, min_overlap=1000)
         assert isinstance(result, Decline)
+
+    def test_empty_overlap_declines_without_a_minimum(self):
+        datasets, _ = synth_actors()
+        foreign = MetricSeries(part_ids=("Q1", "Q2"), values=np.array([0.1, 0.2]))
+        result = handle_call(datasets[0], example_call(foreign), base_seed=1, min_overlap=0)
+        assert result == Decline(datasets[0].actor_id, "call-000001")
+
+    @pytest.mark.parametrize("min_overlap", [0, 1000], ids=["answers", "declines"])
+    def test_matches_part_ids_once_per_call(self, monkeypatch, min_overlap):
+        datasets, metric = synth_actors()
+        align = ActorDataset.align
+        calls = []
+
+        def counted(dataset, series):
+            calls.append(dataset.actor_id)
+            return align(dataset, series)
+
+        monkeypatch.setattr(ActorDataset, "align", counted)
+        call = CallForUncertainty("call-000001", metric, FAST_HYPER, 30.0)
+        handle_call(datasets[0], call, base_seed=1, min_overlap=min_overlap)
+        assert calls == [datasets[0].actor_id]
 
     def test_informative_actor_returns_positive_scalar(self):
         datasets, metric = synth_actors()
@@ -977,6 +1006,15 @@ class TestSocketTransport:
                     assert stream.readline() == b""
             reply = decode_message(self.ask(server, frame))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+
+    def test_longest_deadline_is_a_valid_socket_timeout(self):
+        datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
+        actor = LocalActor(dataset=datasets[0], base_seed=6, always_decline=True)
+        with ActorServer(actor) as server:
+            transport = SocketTransport([server.address])
+            call = example_call(deadline=threading.TIMEOUT_MAX)
+            (outcome,), _ = transport.request(call, lambda: None)
+        assert outcome.message == Decline(datasets[0].actor_id, call.call_id)
 
     def test_concurrent_queries_lose_no_transcript_entry(self):
         # More peers than cores, and a short switch interval, so query
