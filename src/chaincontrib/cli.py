@@ -57,6 +57,7 @@ from chaincontrib.dataset import (
     make_noise_actor,
     partition_actors,
     require_int,
+    require_real,
     save_actor_datasets,
 )
 from chaincontrib.ensemble import EnsembleHyper
@@ -118,14 +119,23 @@ class DataConfig:
     metric_csv: Path | None = None
 
 
+def _names(value) -> tuple:
+    # tuple() of one string would split it into letters.
+    if isinstance(value, str):
+        raise TypeError(f"expected a list of column names, got {value!r}")
+    return tuple(value)
+
+
 _DATA_CONVERT = {
     "input_csv": Path,
     "id_column": str,
     "actor_schema": lambda m: {str(k): str(v) for k, v in m.items()},
-    "shared_columns": tuple,
-    "measurement_columns": tuple,
-    "setpoints": lambda m: None if m is None else {str(k): float(v) for k, v in m.items()},
-    "column_missing_threshold": float,
+    "shared_columns": _names,
+    "measurement_columns": _names,
+    "setpoints": lambda m: (
+        None if m is None else {str(k): require_real("setpoints", v) for k, v in m.items()}
+    ),
+    "column_missing_threshold": partial(require_real, "column_missing_threshold"),
     "actor_dir": Path,
     "metric_csv": Path,
 }
@@ -142,7 +152,7 @@ class CampaignConfig:
 _CAMPAIGN_CONVERT = {
     "deadline": require_deadline,
     "noise_feature_count": partial(require_int, "noise_feature_count"),
-    "slack": float,
+    "slack": partial(require_real, "slack"),
     "min_overlap": partial(require_int, "min_overlap"),
 }
 
@@ -235,7 +245,7 @@ def parse_config(raw: Mapping, args: argparse.Namespace | None = None) -> RunCon
         "top level",
         raw,
         {
-            "seed": partial(require_int, "seed"),
+            "seed": partial(require_int, "seed", least=0),
             "out": Path,
             "transport": str,
             "data": partial(_section, DataConfig, "data", convert=_DATA_CONVERT),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -39,6 +40,23 @@ def require_int(name: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}")
     return value
+
+
+def require_real(name: str, value) -> float:
+    """Return ``value`` as a float if it is a finite int or float.
+
+    A bool or any other type raises TypeError, as in ``require_int``; an
+    integer too large for a float, or an infinity or NaN, raises ValueError.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {real!r}")
+    return real
 
 
 def _parse_cell(text: str, row_index: int, column: str) -> float:
@@ -455,7 +473,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "signal_weights", tuple(float(w) for w in self.signal_weights))
+        if isinstance(self.signal_weights, str):
+            raise TypeError(f"signal_weights must be a list, got {self.signal_weights!r}")
+        weights = tuple(require_real("signal_weights", w) for w in self.signal_weights)
+        object.__setattr__(self, "signal_weights", weights)
+        for name in ("noise_std", "cross_correlation"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         require_int("actor_count", self.actor_count, 2)
         require_int("features_per_actor", self.features_per_actor, 1)
         require_int("row_count", self.row_count, 200)

@@ -17,12 +17,16 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from chaincontrib.dataset import require_int
+from chaincontrib.dataset import require_int, require_real
 
 
 class TrainingError(RuntimeError):
     """Training aborted, typically on a non-finite loss."""
 
+
+# Bounds of the predicted log-variance: a numerical guard that keeps the
+# predicted variance and its inverse in range, not a hyperparameter.
+LOG_VARIANCE_CLAMP = (-10.0, 10.0)
 
 # Every integer hyperparameter and the least value it may take.
 _INTEGER_MINIMUMS = {
@@ -46,24 +50,21 @@ class EnsembleHyper:
     max_epochs: int = 2000
     learning_rate: float = 1e-3
     validation_fraction: float = 0.2
-    log_variance_clamp: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self) -> None:
-        lo, hi = (float(v) for v in self.log_variance_clamp)
-        object.__setattr__(self, "log_variance_clamp", (lo, hi))
         for name, least in _INTEGER_MINIMUMS.items():
             require_int(name, getattr(self, name), least)
+        for name in ("dropout_rate", "learning_rate", "validation_fraction"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be non-negative")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if not lo < hi:
-            raise ValueError("log_variance_clamp must satisfy lo < hi")
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"log_variance_clamp": list(self.log_variance_clamp)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleHyper":
@@ -166,19 +167,26 @@ def _forward_into(params, batch, hidden, out, active=None, dropout_mask=None) ->
     np.add(out, b2[..., None, :], out=out)
 
 
-def forward(
-    member: Member,
-    x: np.ndarray,
-    clamp: tuple[float, float] = (-10.0, 10.0),
-) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(params, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation-mode pass (no dropout) over a (rows, inputs) batch.
+
+    ``params`` is one member's (w1, b1, w2, b2) or stacked members' as
+    from ``_parameter_views``; returns the means and the clamped
+    log-variances, per row or per (member, row).
+    """
+    w1 = params[0]
+    hidden = np.empty((*w1.shape[:-2], batch.shape[0], w1.shape[-1]))
+    out = np.empty((*w1.shape[:-2], batch.shape[0], 2))
+    _forward_into(params, batch, hidden, out)
+    return out[..., 0], np.clip(out[..., 1], *LOG_VARIANCE_CLAMP)
+
+
+def forward(member: Member, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic pass over a (rows, inputs) batch; returns (mean,
     clamped log-variance) per row."""
     batch = np.asarray(x, dtype=float)
     _check_arity(batch, member.w1.shape[0])
-    hidden = np.empty((batch.shape[0], member.w1.shape[1]))
-    out = np.empty((batch.shape[0], 2))
-    _forward_into((member.w1, member.b1, member.w2, member.b2), batch, hidden, out)
-    return out[:, 0], np.clip(out[:, 1], clamp[0], clamp[1])
+    return _evaluate((member.w1, member.b1, member.w2, member.b2), batch)
 
 
 def nll_loss(mean, log_var, target):
@@ -217,7 +225,7 @@ class _Scratch:
         self.total = np.empty(members)
 
 
-def _loss_into(params, grads, batch, y, clamp, dropout_mask, s: _Scratch) -> list[float]:
+def _loss_into(params, grads, batch, y, dropout_mask, s: _Scratch) -> list[float]:
     """Each member's mean NLL over its batch; writes the analytic gradients
     into ``grads``.
 
@@ -228,7 +236,7 @@ def _loss_into(params, grads, batch, y, clamp, dropout_mask, s: _Scratch) -> lis
     one-member order. Inputs are not checked here.
     """
     members, n = y.shape
-    lo, hi = clamp
+    lo, hi = LOG_VARIANCE_CLAMP
     _forward_into(params, batch, s.hidden, s.out, s.active, dropout_mask)
     log_var = np.minimum(np.maximum(s.raw, lo, out=s.log_var), hi, out=s.log_var)
     inv_var = np.exp(np.negative(log_var, out=s.negated), out=s.inv_var)
@@ -265,7 +273,6 @@ def loss_and_gradients(
     member: Member,
     features: np.ndarray,
     targets: np.ndarray,
-    clamp: tuple[float, float] = (-10.0, 10.0),
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean NLL over a batch and its analytic parameter gradients.
@@ -286,7 +293,7 @@ def loss_and_gradients(
     params, grads = (_parameter_views(a, input_size, hidden_size) for a in (theta, grad))
     mask = None if dropout_mask is None else np.asarray(dropout_mask, dtype=float)[None]
     s = _Scratch(1, n, hidden_size)
-    (loss,) = _loss_into(params, grads, batch[None], y[None], clamp, mask, s)
+    (loss,) = _loss_into(params, grads, batch[None], y[None], mask, s)
     return loss, dict(zip(("w1", "b1", "w2", "b2"), (g[0] for g in grads)))
 
 
@@ -297,12 +304,10 @@ def _chronological_split(row_count: int, validation_fraction: float) -> tuple[sl
     return slice(0, n_train), slice(n_train, row_count)
 
 
-def _eval_nll(params, features: np.ndarray, targets: np.ndarray, clamp) -> float:
-    hidden = np.empty((features.shape[0], params[0].shape[1]))
-    out = np.empty((features.shape[0], 2))
-    _forward_into(params, features, hidden, out)
-    log_var = np.clip(out[:, 1], clamp[0], clamp[1])
-    return float(np.mean(nll_loss(out[:, 0], log_var, targets)))
+def _validation_nll(params, x_val: np.ndarray, y_val: np.ndarray) -> list[float]:
+    # Each stacked member's mean NLL over the held-out rows, one row mean
+    # per member as for a single member.
+    return np.mean(nll_loss(*_evaluate(params, x_val), y_val), axis=1).tolist()
 
 
 def _train_lockstep(
@@ -339,7 +344,6 @@ def _train_lockstep(
             f"need at least 2 x batch_size = {2 * size}"
         )
 
-    clamp = hyper.log_variance_clamp
     keep = 1.0 - hyper.dropout_rate
     count = len(members)
     # The parameters under training live in one (member, P) array in
@@ -359,7 +363,7 @@ def _train_lockstep(
     # rngs[i]; the rows of a member that stops are dropped.
     live, bound = list(range(count)), 0
     rngs = [_rng(m.rng_seed, 1) for m in members]
-    best_val = [_eval_nll((m.w1, m.b1, m.w2, m.b2), x_val, y_val, clamp) for m in members]
+    best_val = _validation_nll(_parameter_views(theta, input_size, hidden_size), x_val, y_val)
     best_epoch = [0] * count
     logs: list[list[tuple[int, float]]] = [[] for _ in members]
 
@@ -394,7 +398,7 @@ def _train_lockstep(
                     rng.random(out=slot)
                 np.less(s.dropout, keep, out=s.kept)
                 mask = np.multiply(s.kept, 1.0 / keep, out=s.dropout)
-            losses = _loss_into(params, grads, batch, y, clamp, mask, s)
+            losses = _loss_into(params, grads, batch, y, mask, s)
             failed = [live[i] for i, loss in enumerate(losses) if not math.isfinite(loss)]
             if failed:
                 raise TrainingError(
@@ -421,8 +425,7 @@ def _train_lockstep(
             np.subtract(theta_k, work2_k, out=theta_k)
 
         running = []
-        for i, m in enumerate(live):
-            val_nll = _eval_nll([p[i] for p in params], x_val, y_val, clamp)
+        for i, (m, val_nll) in enumerate(zip(live, _validation_nll(params, x_val, y_val))):
             if not np.isfinite(val_nll):
                 raise TrainingError(
                     f"non-finite validation loss at epoch {epoch} "
@@ -510,7 +513,6 @@ class Ensemble:
 
     members: tuple[Member, ...]
     normaliser: Normaliser
-    log_variance_clamp: tuple[float, float]
     training_log: tuple[tuple[tuple[int, float], ...], ...]
     validation_rows: np.ndarray  # held out, raw; what total_uncertainty scores
 
@@ -528,11 +530,6 @@ class Ensemble:
         rows.setflags(write=False)
         object.__setattr__(self, "validation_rows", rows)
         object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(
-            self,
-            "log_variance_clamp",
-            (float(self.log_variance_clamp[0]), float(self.log_variance_clamp[1])),
-        )
 
     @property
     def member_count(self) -> int:
@@ -590,7 +587,6 @@ def train_ensemble(
     return Ensemble(
         members=members,
         normaliser=normaliser,
-        log_variance_clamp=hyper.log_variance_clamp,
         training_log=tuple(tuple(log) for log in logs),
         validation_rows=features[val_slice],
     )
@@ -608,14 +604,9 @@ def _decompose(ensemble: Ensemble, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     input_size, hidden_size = ensemble.members[0].w1.shape
     _check_arity(batch, input_size)
     theta = np.stack([m.parameter_vector() for m in ensemble.members])
-    hidden = np.empty((ensemble.member_count, batch.shape[0], hidden_size))
-    out = np.empty((ensemble.member_count, batch.shape[0], 2))
-    _forward_into(_parameter_views(theta, input_size, hidden_size), batch, hidden, out)
-    lo, hi = ensemble.log_variance_clamp
-    means = out[..., 0]
-    variances = np.exp(np.clip(out[..., 1], lo, hi))
+    means, log_vars = _evaluate(_parameter_views(theta, input_size, hidden_size), batch)
     mean = means.mean(axis=0)
-    return mean, np.mean((means - mean) ** 2, axis=0), variances.mean(axis=0)
+    return mean, np.mean((means - mean) ** 2, axis=0), np.exp(log_vars).mean(axis=0)
 
 
 def predict(ensemble: Ensemble, x: np.ndarray) -> PredictiveSummary:

@@ -42,6 +42,7 @@ from chaincontrib.dataset import (
     ActorDataset,
     MetricSeries,
     make_noise_actor,
+    require_real,
     write_csv,
 )
 from chaincontrib.ensemble import (
@@ -109,11 +110,12 @@ def apply_transform(series: MetricSeries, transform: MetricTransform) -> MetricS
 
 
 def require_deadline(seconds) -> float:
-    """``seconds`` as a float, if positive and at most the longest socket timeout."""
-    if not 0.0 < seconds <= threading.TIMEOUT_MAX:
+    """``seconds`` as a float, if a number that is positive and at most the
+    longest socket timeout."""
+    if isinstance(seconds, (int, float)) and not 0.0 < seconds <= threading.TIMEOUT_MAX:
         limit = f"at most {threading.TIMEOUT_MAX:g} s"
         raise ValueError(f"deadline must be positive and finite, {limit}")
-    return float(seconds)
+    return require_real("deadline", seconds)
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,9 @@ class CallForUncertainty:
     def __post_init__(self) -> None:
         if len(self.metric) == 0:
             raise ValueError("a call must carry a non-empty metric")
-        require_deadline(self.response_deadline)
+        object.__setattr__(
+            self, "response_deadline", require_deadline(self.response_deadline)
+        )
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ def decode_message(data: bytes) -> Message:
                 call_id=call_id,
                 metric=metric,
                 hyper=hyper,
-                response_deadline=float(_require(frame, "response_deadline")),
+                response_deadline=_require(frame, "response_deadline"),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise DecodeError("malformed", str(exc)) from None

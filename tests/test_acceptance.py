@@ -155,7 +155,6 @@ def test_criterion_2_total_variance_matches_sampled_mixture() -> None:
             normaliser=Normaliser(
                 mean=np.zeros(1), scale=np.ones(1), zero_variance=np.zeros(1, dtype=bool)
             ),
-            log_variance_clamp=(-10.0, 10.0),
             training_log=((),) * member_count,
             validation_rows=np.zeros((1, 1)),
         )

@@ -5,6 +5,7 @@ transports, and the documented exit codes (0 ok, 2 validation, 3 campaign).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -17,7 +18,8 @@ import pytest
 
 from chaincontrib import cli
 from chaincontrib.cli import main, parse_config
-from chaincontrib.dataset import NOISE_ACTOR_ID, MetricSeries
+from chaincontrib.dataset import NOISE_ACTOR_ID, MetricSeries, SyntheticSpec
+from chaincontrib.ensemble import EnsembleHyper
 from chaincontrib.protocol import ContributionRanking
 
 FAST_HYPER = {
@@ -96,13 +98,14 @@ def test_malformed_json_exits_two(tmp_path) -> None:
 @pytest.mark.parametrize(
     ("section", "key", "value"),
     [
-        ("hyper", "log_variance_clamp", 5),
+        ("hyper", "learning_rate", True),
         ("hyper", "member_count", "5"),
         ("hyper", "hidden_size", 2.5),
         ("data", "setpoints", [1, 2]),
         ("data", "actor_schema", [1]),
         ("top level", "seed", 7.9),
         ("top level", "seed", True),
+        ("top level", "seed", -1),
         ("campaign", "min_overlap", 2.5),
         ("campaign", "noise_feature_count", 4.0),
         ("central", "sample_count", True),
@@ -110,6 +113,14 @@ def test_malformed_json_exits_two(tmp_path) -> None:
         ("central", "background_size", 0),
         ("central", "max_instances", 3.7),
         ("central", "max_instances", -3),
+        ("hyper", "learning_rate", int("9" * 400)),
+        ("hyper", "dropout_rate", False),
+        ("campaign", "deadline", "5"),
+        ("campaign", "slack", True),
+        ("data", "setpoints", {"m1": True}),
+        ("data", "shared_columns", "Temp"),
+        ("data", "measurement_columns", "m1"),
+        ("synth", "signal_weights", "321"),
         ("synth", "row_count", 300.5),
         ("synth", "features_per_actor", 2.5),
     ],
@@ -123,6 +134,29 @@ def test_malformed_section_value_exits_two(tmp_path, capsys, section, key, value
     err = capsys.readouterr().err
     assert err.startswith(f"error: {section} section invalid")
     assert "Traceback" not in err
+
+
+# Every field annotated ``float`` in a config section's dataclass, so that
+# a float field added later is held to the same rule.
+FLOAT_FIELDS = [
+    (section, f.name)
+    for section, cls in (
+        ("hyper", EnsembleHyper),
+        ("synth", SyntheticSpec),
+        ("campaign", cli.CampaignConfig),
+        ("data", cli.DataConfig),
+    )
+    for f in dataclasses.fields(cls)
+    if f.type in ("float", float)
+]
+
+
+@pytest.mark.parametrize(("section", "key"), FLOAT_FIELDS)
+def test_float_field_rejects_a_boolean(tmp_path, section, key) -> None:
+    raw = json.loads(write_config(tmp_path).read_text())
+    raw.setdefault(section, {})[key] = True
+    with pytest.raises(cli.ConfigError, match=key):
+        parse_config(raw)
 
 
 def test_readme_minimal_config_parses() -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from chaincontrib.dataset import (
     load_csv,
     make_noise_actor,
     partition_actors,
+    require_real,
     save_actor_datasets,
     write_csv,
 )
@@ -626,6 +629,11 @@ class TestGenerateSynthetic:
             SyntheticSpec(2, 3, (1.0, 1.0), 0.5, 400, cross_correlation=1.0)
 
 
+SPEC_ARGS = dict(
+    actor_count=2, features_per_actor=3, signal_weights=(1.0, 1.0), noise_std=0.5, row_count=400
+)
+
+
 class TestSyntheticSpec:
     @pytest.mark.parametrize(
         "name", ["actor_count", "features_per_actor", "row_count", "seed"]
@@ -646,6 +654,38 @@ class TestSyntheticSpec:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             SyntheticSpec(2, 3, (1.0, 1.0), 0.5, 400, seed=-1)
+
+    @pytest.mark.parametrize("name", ["noise_std", "cross_correlation"])
+    def test_float_fields_reject_other_types(self, name):
+        for value in (True, False, "0.5", None):
+            with pytest.raises(TypeError, match=name):
+                SyntheticSpec(**{**SPEC_ARGS, name: value})
+
+    @pytest.mark.parametrize("weights", [(1.0, True), (1.0, "2"), "32"])
+    def test_signal_weights_must_be_a_list_of_numbers(self, weights):
+        with pytest.raises(TypeError, match="signal_weights"):
+            SyntheticSpec(**{**SPEC_ARGS, "signal_weights": weights})
+
+    def test_integer_weights_become_floats(self):
+        spec = SyntheticSpec(**{**SPEC_ARGS, "signal_weights": [3, 1], "noise_std": 1})
+        assert spec.signal_weights == (3.0, 1.0) and type(spec.noise_std) is float
+
+
+class TestRequireReal:
+    def test_numbers_become_floats(self):
+        assert require_real("x", 2) == 2.0 and type(require_real("x", 2)) is float
+        assert require_real("x", -0.25) == -0.25
+        assert type(require_real("x", np.float64(0.5))) is float
+
+    @pytest.mark.parametrize("value", [True, False, "1.0", None, [1.0], np.int64(1)])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="x must be a number"):
+            require_real("x", value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, int("9" * 400)])
+    def test_non_finite_values_raise_value_error(self, value):
+        with pytest.raises(ValueError, match="x must be finite"):
+            require_real("x", value)
 
 
 class TestMakeNoiseActor:

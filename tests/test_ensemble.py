@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from chaincontrib.dataset import ActorDataset, MetricSeries
 from chaincontrib.ensemble import (
+    LOG_VARIANCE_CLAMP,
     Ensemble,
     EnsembleHyper,
     Member,
@@ -60,7 +63,6 @@ def hand_ensemble(members, width: int = 3, val_rows=None) -> Ensemble:
     return Ensemble(
         members=tuple(members),
         normaliser=identity_normaliser(width),
-        log_variance_clamp=(-10.0, 10.0),
         training_log=tuple(() for _ in members),
         validation_rows=np.zeros((1, width)) if val_rows is None else val_rows,
     )
@@ -83,8 +85,6 @@ class TestHyper:
         with pytest.raises(ValueError):
             EnsembleHyper(patience_epochs=0)
         with pytest.raises(ValueError):
-            EnsembleHyper(log_variance_clamp=(5.0, 5.0))
-        with pytest.raises(ValueError):
             EnsembleHyper(validation_fraction=1.0)
 
     @pytest.mark.parametrize(
@@ -93,6 +93,15 @@ class TestHyper:
     def test_integer_fields_reject_other_types(self, name):
         for value in (2.5, 3.0, True, "3"):
             with pytest.raises(TypeError, match=name):
+                EnsembleHyper(**{name: value})
+
+    @pytest.mark.parametrize("name", ["dropout_rate", "learning_rate", "validation_fraction"])
+    def test_float_fields_take_finite_numbers_only(self, name):
+        for value in (True, False, "0.1", None):
+            with pytest.raises(TypeError, match=name):
+                EnsembleHyper(**{name: value})
+        for value in (math.inf, math.nan, int("9" * 400)):
+            with pytest.raises(ValueError, match=name):
                 EnsembleHyper(**{name: value})
 
     def test_dict_round_trip_rejects_unknown_fields(self):
@@ -152,11 +161,11 @@ class TestForward:
 
     def test_log_variance_clamped(self):
         member = constant_member(0.0, -50.0)
-        _, log_var = forward(member, np.zeros((1, 3)), clamp=(-10.0, 10.0))
-        assert log_var[0] == -10.0
+        _, log_var = forward(member, np.zeros((1, 3)))
+        assert log_var[0] == LOG_VARIANCE_CLAMP[0] == -10.0
         member_hi = constant_member(0.0, 50.0)
-        _, log_var_hi = forward(member_hi, np.zeros((1, 3)), clamp=(-10.0, 10.0))
-        assert log_var_hi[0] == 10.0
+        _, log_var_hi = forward(member_hi, np.zeros((1, 3)))
+        assert log_var_hi[0] == LOG_VARIANCE_CLAMP[1] == 10.0
 
     def test_arity_mismatch_rejected(self):
         member = init_member(3, 5, seed=0)
@@ -191,7 +200,7 @@ class TestNllLoss:
         np.testing.assert_allclose(values, [0.0, 0.5])
 
 
-def finite_difference_grads(member: Member, x, y, clamp, mask, h=1e-5):
+def finite_difference_grads(member: Member, x, y, mask, h=1e-5):
     grads = {}
     arrays = {"w1": member.w1, "b1": member.b1, "w2": member.w2, "b2": member.b2}
 
@@ -201,7 +210,7 @@ def finite_difference_grads(member: Member, x, y, clamp, mask, h=1e-5):
         probe = Member(
             w1=parts["w1"], b1=parts["b1"], w2=parts["w2"], b2=parts["b2"], rng_seed=0
         )
-        loss, _ = loss_and_gradients(probe, x, y, clamp, dropout_mask=mask)
+        loss, _ = loss_and_gradients(probe, x, y, dropout_mask=mask)
         return loss
 
     for name, arr in arrays.items():
@@ -219,7 +228,7 @@ def finite_difference_grads(member: Member, x, y, clamp, mask, h=1e-5):
     return grads
 
 
-def gradcheck_case(seed: int, clamp=(-10.0, 10.0)):
+def gradcheck_case(seed: int):
     """Member + batch whose pre-activations stay clear of kinks and clamps."""
     rng = np.random.default_rng(seed)
     for attempt in range(50):
@@ -229,7 +238,7 @@ def gradcheck_case(seed: int, clamp=(-10.0, 10.0)):
         pre = x @ member.w1 + member.b1
         raw_lv = np.maximum(pre, 0.0) @ member.w2[:, 1] + member.b2[1]
         if np.min(np.abs(pre)) > 1e-3 and np.min(
-            np.abs(raw_lv[:, None] - np.array(clamp))
+            np.abs(raw_lv[:, None] - np.array(LOG_VARIANCE_CLAMP))
         ) > 1e-3:
             return member, x, y
     raise AssertionError("could not find a kink-free case")
@@ -237,9 +246,8 @@ def gradcheck_case(seed: int, clamp=(-10.0, 10.0)):
 
 class TestGradients:
     def assert_close_to_fd(self, member, x, y, mask=None):
-        clamp = (-10.0, 10.0)
-        _, analytic = loss_and_gradients(member, x, y, clamp, dropout_mask=mask)
-        numeric = finite_difference_grads(member, x, y, clamp, mask)
+        _, analytic = loss_and_gradients(member, x, y, dropout_mask=mask)
+        numeric = finite_difference_grads(member, x, y, mask)
         for name in ("w1", "b1", "w2", "b2"):
             ga, gn = analytic[name], numeric[name]
             denom = max(np.linalg.norm(ga), np.linalg.norm(gn), 1e-12)
@@ -260,13 +268,13 @@ class TestGradients:
         member = constant_member(0.0, 20.0)  # raw log-variance far past the cap
         x = np.random.default_rng(1).normal(size=(4, 3))
         y = np.zeros(4)
-        _, grads = loss_and_gradients(member, x, y, clamp=(-10.0, 10.0))
+        _, grads = loss_and_gradients(member, x, y)
         assert grads["b2"][1] == 0.0
         np.testing.assert_array_equal(grads["w2"][:, 1], 0.0)
 
     def test_loss_value_matches_nll(self):
         member, x, y = gradcheck_case(4)
-        loss, _ = loss_and_gradients(member, x, y, (-10.0, 10.0))
+        loss, _ = loss_and_gradients(member, x, y)
         mu, lv = forward(member, x)
         assert loss == pytest.approx(float(np.mean(nll_loss(mu, lv, y))))
 
@@ -362,7 +370,7 @@ def reference_train_member(member: Member, features, targets, hyper: EnsembleHyp
     arrays for every product, a fancy-indexed gather per minibatch and one
     Adam update per parameter array. Same float operations in the same
     order, so the kernel must reproduce it bit for bit."""
-    lo, hi = hyper.log_variance_clamp
+    lo, hi = LOG_VARIANCE_CLAMP
 
     def layers(p, batch, mask=None):
         pre = batch @ p["w1"] + p["b1"]
@@ -521,11 +529,7 @@ class TestTrainEnsemble:
         ensemble = train_ensemble(*dataset.align(metric)[:2], SMALL_HYPER, base_seed=20)
         rows = ensemble.validation_rows
         for member in ensemble.members:
-            mu, _ = forward(
-                member,
-                ensemble.normaliser.transform(rows),
-                clamp=ensemble.log_variance_clamp,
-            )
+            mu, _ = forward(member, ensemble.normaliser.transform(rows))
             assert np.all(np.abs(mu - 2.0) < 0.05)
 
     def test_empty_join_rejected(self):

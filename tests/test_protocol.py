@@ -90,7 +90,7 @@ def example_call(metric=None, deadline=30.0) -> CallForUncertainty:
 # Hyper fields that fail validation in four different ways.
 BAD_HYPER = [
     {"member_count": 1},
-    {"log_variance_clamp": 5},
+    {"learning_rate": True},
     {"max_epochs": "x"},
     {"hidden_size": 2.5},
 ]
@@ -120,9 +120,19 @@ HOSTILE_FRAMES = {
     "huge-uncertainty": frame_with(ALPHA_REPLY, total_uncertainty=HUGE),
     "huge-deadline": frame_with(example_call(), response_deadline=HUGE),
     "huge-metric-value": frame_with(example_call(), values=[HUGE, 0.5, 1.0]),
-    "huge-clamp": call_frame_with_hyper(log_variance_clamp=[-HUGE, HUGE]),
+    "huge-learning-rate": call_frame_with_hyper(learning_rate=HUGE),
     "nan-deadline": frame_with(example_call(), response_deadline=math.nan),
     "infinite-deadline": frame_with(example_call(), response_deadline=math.inf),
+}
+
+
+# Float fields of a call frame that hold something other than a finite number.
+NON_NUMBER_FRAMES = {
+    "string-deadline": frame_with(example_call(), response_deadline="5"),
+    "boolean-deadline": frame_with(example_call(), response_deadline=True),
+    "boolean-learning-rate": call_frame_with_hyper(learning_rate=True),
+    "boolean-dropout-rate": call_frame_with_hyper(dropout_rate=False),
+    "string-validation-fraction": call_frame_with_hyper(validation_fraction="0.2"),
 }
 
 
@@ -252,9 +262,14 @@ class TestCodec:
             decode_message(call_frame_with_hyper(**hyper))
         assert err.value.reason == "malformed"
 
-    def test_hyper_from_older_peer_decodes(self):
-        # Frames from peers that still send the fixed activation decode.
-        frame = call_frame_with_hyper(activation="relu")
+    @pytest.mark.parametrize(
+        "dropped",
+        [{"activation": "relu"}, {"log_variance_clamp": [-10.0, 10.0]}],
+        ids=lambda d: next(iter(d)),
+    )
+    def test_hyper_from_older_peer_decodes(self, dropped):
+        # Frames from peers that still send a since-fixed setting decode.
+        frame = call_frame_with_hyper(**dropped)
         assert decode_message(frame) == example_call()
 
     def test_metric_floats_survive_exactly(self):
@@ -268,6 +283,17 @@ class TestCodec:
         with pytest.raises(DecodeError) as err:
             decode_message(frame)
         assert err.value.reason == "malformed"
+
+    @pytest.mark.parametrize("frame", NON_NUMBER_FRAMES.values(), ids=NON_NUMBER_FRAMES.keys())
+    def test_float_field_must_hold_a_number(self, frame):
+        with pytest.raises(DecodeError) as err:
+            decode_message(frame)
+        assert err.value.reason == "malformed"
+
+    def test_integer_deadline_decodes_as_a_float(self):
+        call = decode_message(frame_with(example_call(), response_deadline=30))
+        assert call == example_call(deadline=30.0)
+        assert type(call.response_deadline) is float
 
     @pytest.mark.parametrize("deadline", [0.0, -1.0, math.nan, math.inf])
     def test_call_needs_a_finite_positive_deadline(self, deadline):
