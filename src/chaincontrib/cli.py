@@ -119,6 +119,21 @@ class DataConfig:
     metric_csv: Path | None = None
 
 
+def _positive(name: str, value) -> float:
+    real = require_real(name, value)
+    if not real > 0:
+        raise ValueError(f"{name} must be positive, got {real!r}")
+    return real
+
+
+def _fraction(name: str, value) -> float:
+    # The range clean_measurements accepts, checked before any file is read.
+    real = require_real(name, value)
+    if not 0.0 < real <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {real!r}")
+    return real
+
+
 def _names(value) -> tuple:
     # tuple() of one string would split it into letters.
     if isinstance(value, str):
@@ -133,9 +148,9 @@ _DATA_CONVERT = {
     "shared_columns": _names,
     "measurement_columns": _names,
     "setpoints": lambda m: (
-        None if m is None else {str(k): require_real("setpoints", v) for k, v in m.items()}
+        None if m is None else {str(k): _positive("setpoints", v) for k, v in m.items()}
     ),
-    "column_missing_threshold": partial(require_real, "column_missing_threshold"),
+    "column_missing_threshold": partial(_fraction, "column_missing_threshold"),
     "actor_dir": Path,
     "metric_csv": Path,
 }
@@ -151,9 +166,9 @@ class CampaignConfig:
 
 _CAMPAIGN_CONVERT = {
     "deadline": require_deadline,
-    "noise_feature_count": partial(require_int, "noise_feature_count"),
-    "slack": partial(require_real, "slack"),
-    "min_overlap": partial(require_int, "min_overlap"),
+    "noise_feature_count": partial(require_int, "noise_feature_count", least=1),
+    "slack": partial(_positive, "slack"),
+    "min_overlap": partial(require_int, "min_overlap", least=0),
 }
 
 
@@ -165,7 +180,8 @@ class CentralConfig:
 
 
 _CENTRAL_CONVERT = {
-    "sample_count": partial(require_int, "sample_count"),
+    # 2d + 2 coalitions at the least pooled width, d = 1.
+    "sample_count": partial(require_int, "sample_count", least=4),
     "background_size": partial(require_int, "background_size", least=1),
     "max_instances": lambda n: (
         None if n is None else require_int("max_instances", n, least=1)

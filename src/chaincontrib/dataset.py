@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -124,13 +124,13 @@ class RawTable:
 
 
 def load_csv(path: str | Path, id_column: str) -> RawTable:
-    """Read a UTF-8 CSV with a header row into a RawTable.
+    """Read a UTF-8 CSV, with or without a byte-order mark, into a RawTable.
 
     The designated id column is split off as the row ids; every other
     column must parse as a number, an empty cell, or the literal "NaN".
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -142,52 +142,107 @@ def load_csv(path: str | Path, id_column: str) -> RawTable:
         columns = tuple(c for i, c in enumerate(header) if i != id_pos)
 
         ids: list[str] = []
-        rows: list[list[float]] = []
+        cells: list[float] = []  # row after row, one flat list
         for row_index, row in enumerate(reader):
             if len(row) != len(header):
                 raise ParseError(
                     f"{path}: row {row_index} has {len(row)} fields, "
                     f"expected {len(header)}"
                 )
-            part_id = row[id_pos].strip()
+            part_id = row.pop(id_pos).strip()
             if not part_id:
                 raise ParseError(f"{path}: row {row_index} has an empty id")
             ids.append(part_id)
-            rows.append(
-                [
-                    _parse_cell(cell, row_index, header[i])
-                    for i, cell in enumerate(row)
-                    if i != id_pos
-                ]
-            )
+            # float() gives _parse_cell's value for every text it accepts;
+            # a blank or unparsable cell sends the row through _parse_cell.
+            row_start = len(cells)
+            try:
+                cells.extend(map(float, row))
+            except ValueError:
+                del cells[row_start:]
+                cells.extend(
+                    _parse_cell(cell, row_index, c) for cell, c in zip(row, columns)
+                )
 
-    seen: set[str] = set()
-    for part_id in ids:
-        if part_id in seen:
-            raise ParseError(f"{path}: duplicate id {part_id!r}")
-        seen.add(part_id)
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for part_id in ids:
+            if part_id in seen:
+                raise ParseError(f"{path}: duplicate id {part_id!r}")
+            seen.add(part_id)
 
-    values = np.asarray(rows, dtype=float).reshape(len(ids), len(columns))
+    values = np.asarray(cells, dtype=float).reshape(len(ids), len(columns))
     return RawTable(id_column=id_column, ids=tuple(ids), columns=columns, values=values)
+
+
+# Rows are formatted and written in blocks of about this many cells (250
+# rows of a 4-column table), so memory stays bounded however large the
+# table is.
+_WRITE_BLOCK_CELLS = 1000
+# csv.writer's default dialect: its delimiter, its line end, and the
+# characters that make it quote a field.
+_DELIMITER, _LINE_END, _QUOTED_CHARS = ",", "\r\n", ',"\r\n'
+
+
+def _column_texts(column: tuple, width: int) -> Iterable[str] | None:
+    """Each cell's CSV text, where it is known without csv.writer.
+
+    A float is written as its ``repr``, which never needs quoting; a str
+    that needs no quoting is written as it is, except an empty cell in a
+    one-column table, which csv.writer writes as ``""``. Any other column
+    gives None.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return map(repr, column)
+    if kinds == {str}:
+        joined = "".join(column)
+        if not any(c in joined for c in _QUOTED_CHARS) and (width > 1 or all(column)):
+            return column
+    return None
+
+
+def _block_text(block: list[Sequence]) -> str | None:
+    """The CSV lines of equal-length rows of floats and plain strs, joined
+    column by column; None for any other block."""
+    widths = set(map(len, block))
+    width = widths.pop()
+    if widths or width == 0:
+        return None
+    texts = [_column_texts(column, width) for column in zip(*block)]
+    if None in texts:
+        return None
+    return _LINE_END.join(map(_DELIMITER.join, zip(*texts))) + _LINE_END
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a UTF-8 CSV: the header row, then one line per row.
 
-    A bool cell is written ``true`` or ``false``. Every other cell goes to
-    the csv module as it is, and that writes a Python float as its
-    ``repr``, so :func:`load_csv` reads it back exactly. Callers pass
+    A bool cell is written ``true`` or ``false``. Every other cell is
+    written as the csv module writes it, and that writes a Python float as
+    its ``repr``, so :func:`load_csv` reads it back exactly. Callers pass
     floats as Python floats (``ndarray.tolist()`` or ``float()``).
+
+    Rows go out in blocks of about ``_WRITE_BLOCK_CELLS`` cells. A block that
+    ``_block_text`` can join is written in one call, any other one row by
+    row through csv.writer; both give csv.writer's bytes.
     """
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(
-            [("true" if c else "false") if type(c) is bool else c for c in row]
-            if bool in map(type, row)
-            else row
-            for row in rows
-        )
+        block_rows = max(1, _WRITE_BLOCK_CELLS // max(1, len(header)))
+        rows = iter(rows)
+        while block := list(islice(rows, block_rows)):
+            text = _block_text(block)
+            if text is not None:
+                fh.write(text)
+                continue
+            writer.writerows(
+                [("true" if c else "false") if type(c) is bool else c for c in row]
+                if bool in map(type, row)
+                else row
+                for row in block
+            )
 
 
 def clean_measurements(

@@ -448,6 +448,35 @@ def test_deadline_out_of_range_exits_two_before_any_actor_starts(
     assert err.startswith("error: campaign section invalid") and "deadline" in err
 
 
+@pytest.mark.parametrize(
+    ("section", "key", "value"),
+    [
+        ("campaign", "noise_feature_count", 0),
+        ("campaign", "slack", 0),
+        ("campaign", "min_overlap", -5),
+        ("central", "sample_count", -1),
+        ("data", "column_missing_threshold", 7.0),
+        ("data", "setpoints", {"m1": -1.0}),
+    ],
+)
+def test_value_that_can_never_work_exits_two_before_any_actor_starts(
+    tmp_path, monkeypatch, capsys, section, key, value
+) -> None:
+    synth_then(tmp_path, write_config(tmp_path))
+    raw = json.loads(write_config(tmp_path, transport="sockets").read_text())
+    raw.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+
+    def no_actor(*args, **kwargs):
+        raise AssertionError("an actor process was started")
+
+    monkeypatch.setattr(cli.subprocess, "Popen", no_actor)
+    assert run("run-decentralised", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section} section invalid") and key in err
+
+
 def test_spawned_actors_default_to_one_blas_thread(tmp_path, monkeypatch) -> None:
     path = write_config(tmp_path, transport="sockets")
     synth_then(tmp_path, path)

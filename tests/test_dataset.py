@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincontrib import dataset
 from chaincontrib.dataset import (
     NOISE_ACTOR_ID,
     ActorDataset,
@@ -87,6 +91,155 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="empty"):
             load_csv(p, id_column="id")
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        text = "part_id,a,b\r\nP1,1.5,\r\nP2,NaN,-2\r\n"
+        plain = load_csv(write(tmp_path / "plain.csv", text), id_column="part_id")
+        marked = load_csv(write(tmp_path / "bom.csv", "\ufeff" + text), id_column="part_id")
+        assert (marked.id_column, marked.ids, marked.columns) == (
+            plain.id_column,
+            plain.ids,
+            plain.columns,
+        )
+        np.testing.assert_array_equal(marked.values, plain.values)
+
+
+def reference_load(path, id_column):
+    """The per-cell loader: every cell through _parse_cell, checks in row
+    order, then the duplicate scan. Returns (ids, columns, rows)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        id_pos = header.index(id_column)
+        ids, rows = [], []
+        for row_index, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {row_index} has {len(row)} fields, expected {len(header)}"
+                )
+            part_id = row[id_pos].strip()
+            if not part_id:
+                raise ParseError(f"{path}: row {row_index} has an empty id")
+            ids.append(part_id)
+            rows.append(
+                [
+                    dataset._parse_cell(cell, row_index, header[i])
+                    for i, cell in enumerate(row)
+                    if i != id_pos
+                ]
+            )
+    seen = set()
+    for part_id in ids:
+        if part_id in seen:
+            raise ParseError(f"{path}: duplicate id {part_id!r}")
+        seen.add(part_id)
+    columns = tuple(c for i, c in enumerate(header) if i != id_pos)
+    return tuple(ids), columns, rows
+
+
+# Whitespace that str.strip removes; float() does not strip "\x1c".
+PADDING = st.text(st.sampled_from(" \t\n\x1c\xa0\u3000"), max_size=2)
+NUMBER_TEXTS = st.sampled_from(
+    ["1", "-2.5e3", "0.1", "-0", "1_0", "inf", "-Infinity", "nan", "NaN", "-nan", "nAN", ""]
+) | st.floats(allow_nan=False).map(repr)
+JUNK_TEXTS = st.sampled_from(["junk", "1 2", "0x1", "--1", "1__0", "nan!", "1,5"])
+NUMBER_CELLS = st.tuples(PADDING, NUMBER_TEXTS, PADDING).map("".join)
+ANY_CELLS = st.tuples(PADDING, NUMBER_TEXTS | JUNK_TEXTS, PADDING).map("".join)
+
+
+@st.composite
+def csv_files(draw):
+    """A header and rows of cell texts. In a faulty file a row may have a
+    wrong field count, a blank or repeated id, or a junk cell."""
+    faulty = draw(st.booleans())
+    width = draw(st.integers(0, 3))
+    id_pos = draw(st.integers(0, width))
+    header = [f"c{i}" for i in range(width)]
+    header.insert(id_pos, "id")
+    rows = []
+    for index in range(draw(st.integers(0, 6))):
+        kind = ANY_CELLS if faulty else NUMBER_CELLS
+        cells = draw(st.lists(kind, min_size=width, max_size=width))
+        if not faulty:
+            cells.insert(id_pos, f" P{index}")
+            rows.append(cells)
+            continue
+        cells.insert(id_pos, draw(st.sampled_from(["P0", "P1", " P2", " "])))
+        fault = draw(st.sampled_from(["none", "none", "short", "long"]))
+        if fault == "short":
+            cells.pop()
+        elif fault == "long":
+            cells.append("1")
+        rows.append(cells)
+    return header, rows
+
+
+class TestLoadCsvMatchesPerCellOracle:
+    @given(table=csv_files(), bom=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_values_and_errors_equal_the_oracle(self, tmp_path_factory, table, bom):
+        header, rows = table
+        path = tmp_path_factory.mktemp("load") / "t.csv"
+        with path.open("w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        try:
+            ids, columns, expected = reference_load(path, "id")
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                load_csv(path, id_column="id")
+            assert str(raised.value) == str(exc)
+            return
+        table = load_csv(path, id_column="id")
+        assert (table.ids, table.columns) == (ids, columns)
+        want = np.asarray(expected, dtype=float).reshape(len(ids), len(columns))
+        # Bit for bit, so a NaN's sign counts too.
+        assert table.values.tobytes() == want.tobytes()
+
+    def test_first_fault_in_row_order_is_reported(self, tmp_path):
+        p = write(tmp_path / "t.csv", "id,a,b\nP1,1,2\nP2,oops,2\nP3,1\nP1,1,2\n")
+        with pytest.raises(ParseError, match=r"^row 1, column 'a': cannot parse 'oops'"):
+            load_csv(p, id_column="id")
+        p = write(tmp_path / "u.csv", "id,a,b\nP1,1,2\nP1,1,2\nP3,1\nP4,x,2\n")
+        with pytest.raises(ParseError, match="row 2 has 2 fields, expected 3"):
+            load_csv(p, id_column="id")
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """What csv.writer writes row by row, bools as true/false."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([("true" if c else "false") if type(c) is bool else c for c in row])
+    return buf.getvalue().encode("utf-8")
+
+
+FLOAT_CELLS = st.floats() | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
+)
+# Mostly plain text, sometimes a field that csv.writer has to quote.
+STR_CELLS = st.text(st.sampled_from("ab é-"), max_size=4) | st.text(
+    st.sampled_from('a,"\r\n '), max_size=4
+)
+OTHER_CELLS = st.integers(-(10**20), 10**20) | st.booleans() | st.none()
+
+
+@st.composite
+def tables(draw):
+    """Rows of one cell kind per column, as the package writes them, some
+    of them cut short, or rows of any cells and any lengths."""
+    shape = draw(st.sampled_from(["columns", "cut", "any"]))
+    if shape == "any":
+        cells = FLOAT_CELLS | STR_CELLS | OTHER_CELLS
+        return draw(st.lists(st.lists(cells, max_size=4), max_size=9))
+    n = draw(st.integers(0, 9))
+    kinds = draw(
+        st.lists(st.sampled_from([FLOAT_CELLS, STR_CELLS, OTHER_CELLS]), min_size=1, max_size=4)
+    )
+    rows = list(zip(*(draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds)))
+    if shape == "cut":
+        rows = [row[: draw(st.integers(0, len(row)))] for row in rows]
+    return rows
+
 
 class TestWriteCsv:
     EDGE_FLOATS = [0.1, 1.0 / 3.0, -0.0, 1e16, 5e-324, 1.7976931348623157e308]
@@ -103,6 +256,23 @@ class TestWriteCsv:
         p = tmp_path / "t.csv"
         write_csv(p, ["id", "flag", "x"], [("P1", True, 1.0), ("P2", False, 0), ("P3", 1, 0.0)])
         assert p.read_bytes() == b"id,flag,x\r\nP1,true,1.0\r\nP2,false,0\r\nP3,1,0.0\r\n"
+
+    @given(header=st.lists(STR_CELLS, max_size=4), rows=tables(), block_cells=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_a_plain_csv_writer(self, tmp_path_factory, header, rows, block_cells):
+        p = tmp_path_factory.mktemp("write") / "t.csv"
+        with mock.patch.object(dataset, "_WRITE_BLOCK_CELLS", block_cells):
+            write_csv(p, header, iter(rows))
+        assert p.read_bytes() == csv_writer_bytes(header, rows)
+
+    def test_table_longer_than_one_block(self, tmp_path):
+        # Three columns: a block holds about a third as many rows as cells.
+        rows = [(f"P{i}", i / 7, -float(i)) for i in range(dataset._WRITE_BLOCK_CELLS)]
+        rows[dataset._WRITE_BLOCK_CELLS // 2] = ("P,odd", True, None)
+        p = tmp_path / "t.csv"
+        write_csv(p, ["id", "a", "b"], rows)
+        assert p.read_bytes() == csv_writer_bytes(["id", "a", "b"], rows)
+
 
 
 class TestRawTableSelect:
