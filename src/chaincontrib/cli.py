@@ -2,9 +2,10 @@
 routes, and compare them.
 
 One JSON config file drives every command. Each config section is built
-straight from its dataclass, whose fields are the allowed keys and whose
-defaults are the only defaults; unknown keys and malformed values
-anywhere are rejected before any computation starts. The --seed,
+straight from its dataclass, whose fields are the allowed keys, whose
+defaults are the only defaults and whose ``__post_init__`` converts and
+range-checks every field; unknown keys and malformed values anywhere are
+rejected before any computation starts. The --seed,
 --transport and --out flags replace the matching top-level values
 before the config is parsed, so ``synth`` follows --seed too.
 
@@ -28,9 +29,8 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -83,27 +83,47 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def _section(cls, name: str, raw, convert: Mapping[str, Callable] | None = None):
+def _section(cls, name: str, raw):
     """Build the dataclass ``cls`` from one config section.
 
-    The dataclass is the schema: its fields are the allowed keys and its
-    defaults the only defaults, so only the keys present are passed on,
-    each through its ``convert`` entry if it has one. Any failure to
-    build the section becomes a ConfigError; a nested section's own
-    ConfigError passes through as it is.
+    The dataclass is the schema: its fields are the allowed keys, its
+    defaults the only defaults and its ``__post_init__`` the only check,
+    so only the keys present are passed on. Any failure to build the
+    section becomes a ConfigError that names it.
     """
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config section {name!r} must be an object")
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {', '.join(unknown)}")
-    convert = convert or {}
     try:
-        return cls(**{k: convert[k](v) if k in convert else v for k, v in raw.items()})
-    except ConfigError:
-        raise
+        return cls(**raw)
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{name} section invalid: {exc}") from exc
+
+
+def _set(section, **values) -> None:
+    # Store converted values on a frozen section.
+    for name, value in values.items():
+        object.__setattr__(section, name, value)
+
+
+def _path(value) -> Path | None:
+    return None if value is None else Path(value)
+
+
+def _positive(name: str, value) -> float:
+    real = require_real(name, value)
+    if not real > 0:
+        raise ValueError(f"{name} must be positive, got {real!r}")
+    return real
+
+
+def _names(value) -> tuple:
+    # tuple() of one string would split it into letters.
+    if isinstance(value, str):
+        raise TypeError(f"expected a list of column names, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -118,42 +138,26 @@ class DataConfig:
     actor_dir: Path | None = None
     metric_csv: Path | None = None
 
-
-def _positive(name: str, value) -> float:
-    real = require_real(name, value)
-    if not real > 0:
-        raise ValueError(f"{name} must be positive, got {real!r}")
-    return real
-
-
-def _fraction(name: str, value) -> float:
-    # The range clean_measurements accepts, checked before any file is read.
-    real = require_real(name, value)
-    if not 0.0 < real <= 1.0:
-        raise ValueError(f"{name} must be in (0, 1], got {real!r}")
-    return real
-
-
-def _names(value) -> tuple:
-    # tuple() of one string would split it into letters.
-    if isinstance(value, str):
-        raise TypeError(f"expected a list of column names, got {value!r}")
-    return tuple(value)
-
-
-_DATA_CONVERT = {
-    "input_csv": Path,
-    "id_column": str,
-    "actor_schema": lambda m: {str(k): str(v) for k, v in m.items()},
-    "shared_columns": _names,
-    "measurement_columns": _names,
-    "setpoints": lambda m: (
-        None if m is None else {str(k): _positive("setpoints", v) for k, v in m.items()}
-    ),
-    "column_missing_threshold": partial(_fraction, "column_missing_threshold"),
-    "actor_dir": Path,
-    "metric_csv": Path,
-}
+    def __post_init__(self) -> None:
+        threshold = require_real("column_missing_threshold", self.column_missing_threshold)
+        # The range clean_measurements accepts, checked before any file is read.
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"column_missing_threshold must be in (0, 1], got {threshold!r}")
+        setpoints = self.setpoints
+        if setpoints is not None:
+            setpoints = {str(k): _positive("setpoints", v) for k, v in setpoints.items()}
+        _set(
+            self,
+            input_csv=_path(self.input_csv),
+            id_column=str(self.id_column),
+            actor_schema={str(k): str(v) for k, v in self.actor_schema.items()},
+            shared_columns=_names(self.shared_columns),
+            measurement_columns=_names(self.measurement_columns),
+            setpoints=setpoints,
+            column_missing_threshold=threshold,
+            actor_dir=_path(self.actor_dir),
+            metric_csv=_path(self.metric_csv),
+        )
 
 
 @dataclass(frozen=True)
@@ -163,13 +167,10 @@ class CampaignConfig:
     slack: float = 1.0
     min_overlap: int = DEFAULT_MIN_OVERLAP
 
-
-_CAMPAIGN_CONVERT = {
-    "deadline": require_deadline,
-    "noise_feature_count": partial(require_int, "noise_feature_count", least=1),
-    "slack": partial(_positive, "slack"),
-    "min_overlap": partial(require_int, "min_overlap", least=0),
-}
+    def __post_init__(self) -> None:
+        require_int("noise_feature_count", self.noise_feature_count, least=1)
+        require_int("min_overlap", self.min_overlap, least=0)
+        _set(self, deadline=require_deadline(self.deadline), slack=_positive("slack", self.slack))
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,12 @@ class CentralConfig:
     background_size: int = 100
     max_instances: int | None = None
 
-
-_CENTRAL_CONVERT = {
-    # 2d + 2 coalitions at the least pooled width, d = 1.
-    "sample_count": partial(require_int, "sample_count", least=4),
-    "background_size": partial(require_int, "background_size", least=1),
-    "max_instances": lambda n: (
-        None if n is None else require_int("max_instances", n, least=1)
-    ),
-}
+    def __post_init__(self) -> None:
+        # 2d + 2 coalitions at the least pooled width, d = 1.
+        require_int("sample_count", self.sample_count, least=4)
+        require_int("background_size", self.background_size, least=1)
+        if self.max_instances is not None:
+            require_int("max_instances", self.max_instances, least=1)
 
 
 @dataclass(frozen=True)
@@ -194,8 +192,8 @@ class CompareConfig:
     ranking: Path | None = None
     shap_summary: Path | None = None
 
-
-_COMPARE_CONVERT = {"ranking": Path, "shap_summary": Path}
+    def __post_init__(self) -> None:
+        _set(self, ranking=_path(self.ranking), shap_summary=_path(self.shap_summary))
 
 
 TRANSPORTS = ("in-process", "sockets")
@@ -216,10 +214,10 @@ class RunConfig:
     compare: CompareConfig = field(default_factory=CompareConfig)
 
     def __post_init__(self) -> None:
+        require_int("seed", self.seed, least=0)
         if self.transport not in TRANSPORTS:
-            raise ConfigError(
-                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
-            )
+            raise ValueError(f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
+        _set(self, out=Path(self.out))
 
     @property
     def actor_dir(self) -> Path:
@@ -228,6 +226,17 @@ class RunConfig:
     @property
     def metric_path(self) -> Path:
         return self.data.metric_csv or self.actor_dir / "metric.csv"
+
+
+# The nested sections of a config, each built from its own dataclass.
+SECTIONS = {
+    "data": DataConfig,
+    "synth": SyntheticSpec,
+    "hyper": EnsembleHyper,
+    "campaign": CampaignConfig,
+    "central": CentralConfig,
+    "compare": CompareConfig,
+}
 
 
 def _unit_spread_transform(metric: MetricSeries) -> MetricTransform:
@@ -246,38 +255,22 @@ def _unit_spread_transform(metric: MetricSeries) -> MetricTransform:
 
 def parse_config(raw: Mapping, args: argparse.Namespace | None = None) -> RunConfig:
     """Validate a whole config; the --seed/--out/--transport flags win."""
-    if args is not None and isinstance(raw, Mapping):
+    if not isinstance(raw, Mapping):
+        raise ConfigError("config section 'top level' must be an object")
+    if args is not None:
         flags = {k: getattr(args, k, None) for k in ("seed", "out", "transport")}
         raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
-
-    def synth(section):
-        # The synthetic data follow the run's seed unless they set their own.
-        if isinstance(section, Mapping):
-            section = {"seed": raw.get("seed", RunConfig.seed), **section}
-        return _section(SyntheticSpec, "synth", section)
-
-    return _section(
-        RunConfig,
-        "top level",
-        raw,
-        {
-            "seed": partial(require_int, "seed", least=0),
-            "out": Path,
-            "transport": str,
-            "data": partial(_section, DataConfig, "data", convert=_DATA_CONVERT),
-            "synth": synth,
-            "hyper": partial(_section, EnsembleHyper, "hyper"),
-            "campaign": partial(
-                _section, CampaignConfig, "campaign", convert=_CAMPAIGN_CONVERT
-            ),
-            "central": partial(
-                _section, CentralConfig, "central", convert=_CENTRAL_CONVERT
-            ),
-            "compare": partial(
-                _section, CompareConfig, "compare", convert=_COMPARE_CONVERT
-            ),
-        },
-    )
+    # The top level first: the synth section inherits its seed, and a bad
+    # seed is the top level's error.
+    top = _section(RunConfig, "top level", {k: v for k, v in raw.items() if k not in SECTIONS})
+    sections = {}
+    for name, section in raw.items():
+        if name in SECTIONS:
+            if name == "synth" and isinstance(section, Mapping):
+                # The synthetic data follow the run's seed unless they set their own.
+                section = {"seed": top.seed, **section}
+            sections[name] = _section(SECTIONS[name], name, section)
+    return dataclasses.replace(top, **sections)
 
 
 # -------------------------------------------------------------------- commands

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -167,16 +167,18 @@ def _forward_into(params, batch, hidden, out, active=None, dropout_mask=None) ->
     np.add(out, b2[..., None, :], out=out)
 
 
-def _evaluate(params, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(params, batch: np.ndarray, buffers=None) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation-mode pass (no dropout) over a (rows, inputs) batch.
 
     ``params`` is one member's (w1, b1, w2, b2) or stacked members' as
     from ``_parameter_views``; returns the means and the clamped
-    log-variances, per row or per (member, row).
+    log-variances, per row or per (member, row). ``buffers`` are the
+    (hidden, out) arrays of ``_forward_into`` for this shape, or None to
+    allocate them.
     """
     w1 = params[0]
-    hidden = np.empty((*w1.shape[:-2], batch.shape[0], w1.shape[-1]))
-    out = np.empty((*w1.shape[:-2], batch.shape[0], 2))
+    rows = (*w1.shape[:-2], batch.shape[0])
+    hidden, out = buffers or (np.empty((*rows, w1.shape[-1])), np.empty((*rows, 2)))
     _forward_into(params, batch, hidden, out)
     return out[..., 0], np.clip(out[..., 1], *LOG_VARIANCE_CLAMP)
 
@@ -304,10 +306,10 @@ def _chronological_split(row_count: int, validation_fraction: float) -> tuple[sl
     return slice(0, n_train), slice(n_train, row_count)
 
 
-def _validation_nll(params, x_val: np.ndarray, y_val: np.ndarray) -> list[float]:
+def _validation_nll(params, x_val: np.ndarray, y_val: np.ndarray, buffers=None) -> list[float]:
     # Each stacked member's mean NLL over the held-out rows, one row mean
     # per member as for a single member.
-    return np.mean(nll_loss(*_evaluate(params, x_val), y_val), axis=1).tolist()
+    return np.mean(nll_loss(*_evaluate(params, x_val, buffers), y_val), axis=1).tolist()
 
 
 def _train_lockstep(
@@ -371,14 +373,16 @@ def _train_lockstep(
         k = len(live)
         if k != bound:
             # Views of the first k rows, those of the members still training,
-            # and work arrays for k members: made at the start and again only
-            # after a member stops.
+            # and work arrays for k members, for training and for the
+            # evaluation pass: made at the start and again only after a
+            # member stops.
             theta_k, grad_k, moment1_k, moment2_k, work1_k, work2_k = (
                 a[:k] for a in (theta, grad, moment1, moment2, work1, work2)
             )
             params = _parameter_views(theta_k, input_size, hidden_size)
             grads = _parameter_views(grad_k, input_size, hidden_size)
             xs, ys = x_epoch[:k], y_epoch[:k]
+            val_buffers = (np.empty((k, len(y_val), hidden_size)), np.empty((k, len(y_val), 2)))
             work = {r: _Scratch(k, r, hidden_size) for r in {size, n_train % size} - {0}}
             batches = [
                 (xs[:, a : a + size], ys[:, a : a + size], work[min(size, n_train - a)])
@@ -425,7 +429,8 @@ def _train_lockstep(
             np.subtract(theta_k, work2_k, out=theta_k)
 
         running = []
-        for i, (m, val_nll) in enumerate(zip(live, _validation_nll(params, x_val, y_val))):
+        val_nlls = _validation_nll(params, x_val, y_val, val_buffers)
+        for i, (m, val_nll) in enumerate(zip(live, val_nlls)):
             if not np.isfinite(val_nll):
                 raise TrainingError(
                     f"non-finite validation loss at epoch {epoch} "
@@ -536,29 +541,6 @@ class Ensemble:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class PredictiveSummary:
-    """Ensemble prediction for one input, variance split by source.
-
-    ``knowledge_variance`` is the spread of the member means (what more
-    training data could remove); ``data_variance`` is the average
-    predicted noise level (what no model could remove). Their sum is the
-    total predictive variance.
-    """
-
-    mean: float
-    knowledge_variance: float
-    data_variance: float
-    total_variance: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.knowledge_variance < 0.0 or self.data_variance < 0.0:
-            raise ValueError("variance components must be non-negative")
-        object.__setattr__(
-            self, "total_variance", self.knowledge_variance + self.data_variance
-        )
-
-
 def train_ensemble(
     features: np.ndarray,
     targets: np.ndarray,
@@ -607,22 +589,6 @@ def _decompose(ensemble: Ensemble, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     means, log_vars = _evaluate(_parameter_views(theta, input_size, hidden_size), batch)
     mean = means.mean(axis=0)
     return mean, np.mean((means - mean) ** 2, axis=0), np.exp(log_vars).mean(axis=0)
-
-
-def predict(ensemble: Ensemble, x: np.ndarray) -> PredictiveSummary:
-    """Combine member predictions for one input row.
-
-    The total predictive variance equals the variance of the equal-weight
-    Gaussian mixture over the members: spread of member means plus the
-    average predicted noise variance.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("predict takes a single feature row")
-    (mean,), (knowledge,), (data,) = _decompose(ensemble, x)
-    return PredictiveSummary(
-        mean=float(mean), knowledge_variance=float(knowledge), data_variance=float(data)
-    )
 
 
 def total_uncertainty(ensemble: Ensemble) -> float:

@@ -29,6 +29,7 @@ import logging
 import socket
 import socketserver
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -61,6 +62,8 @@ DEFAULT_NOISE_FEATURES = 5
 # rows is about 0.7 MB. A longer frame is read only up to this size, so it
 # lacks its newline and fails to decode as truncated.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+# Bytes asked of one socket read while a frame comes in.
+_RECV_BYTES = 64 * 1024
 # A campaign issues exactly one call; replies must carry its id.
 CALL_ID = "call-000001"
 
@@ -357,7 +360,8 @@ class ContributionRanking:
         file ranks no noise actor. A ``below_noise_floor`` cell must be
         ``true`` or ``false``, as :func:`write_csv` writes it.
         """
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        # As load_csv does, accept the byte-order mark of a spreadsheet export.
+        with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != _RANKING_COLUMNS:
                 raise ValueError(
@@ -488,10 +492,38 @@ def _exchange(
     return ActorOutcome(peer=peer, message=reply)
 
 
-def _send_over(conn: socket.socket, frame: bytes) -> bytes:
+def _time_left(conn: socket.socket, end: float) -> None:
+    """Give the next operation on ``conn`` only the time left before the
+    monotonic time ``end``, so that no peer can stretch an exchange."""
+    left = end - time.monotonic()
+    if left <= 0.0:
+        raise TimeoutError("timed out")
+    conn.settimeout(left)
+
+
+def _read_frame(conn: socket.socket, end: float) -> bytes:
+    """One frame from ``conn``, read by the monotonic time ``end``: up to
+    and including its newline, at most MAX_FRAME_BYTES, or what came
+    before the peer closed. Raises TimeoutError once ``end`` passes."""
+    chunks, size = [], 0
+    while size < MAX_FRAME_BYTES:
+        _time_left(conn, end)
+        chunk = conn.recv(min(_RECV_BYTES, MAX_FRAME_BYTES - size))
+        if not chunk:
+            break
+        newline = chunk.find(b"\n")
+        if newline >= 0:
+            chunks.append(chunk[: newline + 1])
+            break
+        chunks.append(chunk)
+        size += len(chunk)
+    return b"".join(chunks)
+
+
+def _send_over(conn: socket.socket, end: float, frame: bytes) -> bytes:
+    _time_left(conn, end)
     conn.sendall(frame)
-    with conn.makefile("rb") as stream:
-        return stream.readline(MAX_FRAME_BYTES)
+    return _read_frame(conn, end)
 
 
 class InProcessTransport:
@@ -528,8 +560,9 @@ class SocketTransport:
     ) -> tuple[list[ActorOutcome], _T]:
         """Query every peer at once and run ``local()`` here while they work.
 
-        Each query has one connection under the call's deadline; a peer
-        that cannot be reached, or does not reply in time, counts as a
+        Each query has one connection, and its whole exchange (connect,
+        send, reply) must end within the call's deadline; a peer that
+        cannot be reached, or does not reply in time, counts as a
         timeout. Outcomes come back in endpoint order. If ``local``
         raises, its error propagates once every query has ended.
         """
@@ -539,9 +572,10 @@ class SocketTransport:
         def query(endpoint: tuple[str, int]) -> ActorOutcome:
             host, port = endpoint
             peer = f"{host}:{port}"
+            end = time.monotonic() + deadline
             try:
                 with socket.create_connection(endpoint, timeout=deadline) as conn:
-                    return _exchange(self.transcript, peer, frame, partial(_send_over, conn))
+                    return _exchange(self.transcript, peer, frame, partial(_send_over, conn, end))
             except OSError as exc:
                 return ActorOutcome(peer=peer, message=None, detail=str(exc))
 
@@ -551,13 +585,15 @@ class SocketTransport:
             return [future.result() for future in pending], mine
 
 
-class _CallHandler(socketserver.StreamRequestHandler):
+class _CallHandler(socketserver.BaseRequestHandler):
     """Reads one capped call frame and writes the actor's reply."""
 
+    # Seconds a client has to send its whole call frame, and then to take
+    # the reply.
     timeout = 10.0
 
     def handle(self) -> None:
-        frame = self.rfile.readline(MAX_FRAME_BYTES)
+        frame = _read_frame(self.request, time.monotonic() + self.timeout)
         if not frame:
             return
         actor = self.server.actor
@@ -568,7 +604,8 @@ class _CallHandler(socketserver.StreamRequestHandler):
                 "actor %s dropping undecodable frame: %s", actor.dataset.actor_id, exc
             )
             return
-        self.wfile.write(reply)
+        self.request.settimeout(self.timeout)
+        self.request.sendall(reply)
 
 
 class ActorServer(socketserver.TCPServer):

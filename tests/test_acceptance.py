@@ -38,7 +38,7 @@ from chaincontrib.ensemble import (
     Normaliser,
     init_member,
     loss_and_gradients,
-    predict,
+    total_uncertainty,
 )
 from chaincontrib.evaluation import build_comparison, kendall_tau
 from chaincontrib.protocol import (
@@ -158,7 +158,7 @@ def test_criterion_2_total_variance_matches_sampled_mixture() -> None:
             training_log=((),) * member_count,
             validation_rows=np.zeros((1, 1)),
         )
-        total = predict(ensemble, np.zeros(1)).total_variance
+        total = total_uncertainty(ensemble)
 
         # Oracle: sample the equal-weight Gaussian mixture those members
         # define and compare against its sample variance, allowing three

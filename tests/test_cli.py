@@ -159,12 +159,103 @@ def test_float_field_rejects_a_boolean(tmp_path, section, key) -> None:
         parse_config(raw)
 
 
+# Every config section's dataclass, by the name its errors carry.
+SECTION_TYPES = {"top level": cli.RunConfig, **cli.SECTIONS}
+
+
+def section_fields(*types) -> list[tuple[str, str]]:
+    return [
+        (section, f.name)
+        for section, cls in SECTION_TYPES.items()
+        for f in dataclasses.fields(cls)
+        if f.type in types
+    ]
+
+
+# The least value of every integer field. A field missing here fails its
+# case below, so that an integer field added later gets a bound too.
+LEAST = {
+    ("top level", "seed"): 0,
+    ("synth", "actor_count"): 2,
+    ("synth", "features_per_actor"): 1,
+    ("synth", "row_count"): 200,
+    ("synth", "seed"): 0,
+    ("hyper", "member_count"): 2,
+    ("hyper", "hidden_size"): 1,
+    ("hyper", "batch_size"): 1,
+    ("hyper", "patience_epochs"): 1,
+    ("hyper", "max_epochs"): 1,
+    ("campaign", "noise_feature_count"): 1,
+    ("campaign", "min_overlap"): 0,
+    ("central", "sample_count"): 4,
+    ("central", "background_size"): 1,
+    ("central", "max_instances"): 1,
+}
+INT_FIELDS = section_fields("int", "int | None")
+PATH_FIELDS = section_fields("Path", "Path | None")
+
+
+@pytest.mark.parametrize(("section", "key"), INT_FIELDS)
+def test_integer_field_rejects_a_value_below_its_least(tmp_path, section, key) -> None:
+    raw = json.loads(write_config(tmp_path).read_text())
+    (raw if section == "top level" else raw.setdefault(section, {}))[key] = LEAST[section, key] - 1
+    with pytest.raises(cli.ConfigError, match=f"^{section} section invalid: {key} must be at least"):
+        parse_config(raw)
+
+
+# Arguments that build each section directly; the others need none.
+REQUIRED = {
+    "synth": {
+        "actor_count": 2,
+        "features_per_actor": 1,
+        "signal_weights": (1.0, 0.5),
+        "noise_std": 0.5,
+        "row_count": 200,
+    }
+}
+
+
+def build(section: str, key: str, value):
+    return SECTION_TYPES[section](**{**REQUIRED.get(section, {}), key: value})
+
+
+@pytest.mark.parametrize(("section", "key"), INT_FIELDS)
+def test_section_type_holds_each_integer_to_its_least(section, key) -> None:
+    assert getattr(build(section, key, LEAST[section, key]), key) == LEAST[section, key]
+    with pytest.raises(ValueError, match=f"{key} must be at least"):
+        build(section, key, LEAST[section, key] - 1)
+
+
+@pytest.mark.parametrize(("section", "key"), section_fields("float"))
+def test_section_type_rejects_a_boolean_float(section, key) -> None:
+    with pytest.raises(TypeError, match=key):
+        build(section, key, True)
+
+
+@pytest.mark.parametrize(("section", "key"), PATH_FIELDS)
+def test_section_type_converts_a_path_and_rejects_a_number(section, key) -> None:
+    assert getattr(build(section, key, "runs/x"), key) == Path("runs/x")
+    with pytest.raises(TypeError):
+        build(section, key, 5)
+
+
 def test_readme_minimal_config_parses() -> None:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"A minimal synthetic experiment:\s*```json\n(.*?)```", readme, re.S)
     config = parse_config(json.loads(block.group(1)))
     assert config.seed == config.synth.seed == 7
     assert config.hyper.member_count == 5
+
+
+def test_readme_table_lists_every_config_field() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `?([a-z ]+?)`? \| `(\w+)` \|", readme, re.M)
+    assert sorted(listed) == sorted(
+        (section, f.name)
+        for section, cls in SECTION_TYPES.items()
+        for f in dataclasses.fields(cls)
+        if f.name not in SECTION_TYPES
+    )
 
 
 def test_hyper_overrides_reach_parsed_config(tmp_path) -> None:

@@ -16,14 +16,12 @@ from chaincontrib.ensemble import (
     EnsembleHyper,
     Member,
     Normaliser,
-    PredictiveSummary,
     TrainingError,
     _decompose,
     forward,
     init_member,
     loss_and_gradients,
     nll_loss,
-    predict,
     total_uncertainty,
     train_ensemble,
     train_member,
@@ -618,15 +616,19 @@ class TestLockstepEquivalence:
 
 
 class TestPredict:
+    """The ensemble's predictive distribution: the knowledge/data split
+    that ``_decompose`` gives per row, and the total that
+    ``total_uncertainty`` reports over the validation rows (here one row)."""
+
     def test_two_member_hand_case(self):
         ensemble = hand_ensemble(
             [constant_member(0.0, 0.0, seed=1), constant_member(2.0, 0.0, seed=2)]
         )
-        summary = predict(ensemble, np.zeros(3))
-        assert summary.mean == 1.0
-        assert summary.knowledge_variance == 1.0
-        assert summary.data_variance == 1.0
-        assert summary.total_variance == 2.0
+        (mean,), (knowledge,), (data,) = _decompose(ensemble, np.zeros((1, 3)))
+        assert mean == 1.0
+        assert knowledge == 1.0
+        assert data == 1.0
+        assert total_uncertainty(ensemble) == 2.0
 
     def test_three_member_data_variance_mean(self):
         ensemble = hand_ensemble(
@@ -636,37 +638,38 @@ class TestPredict:
                 constant_member(1.0, np.log(3.0), seed=3),
             ]
         )
-        summary = predict(ensemble, np.zeros(3))
-        assert summary.knowledge_variance == 0.0
-        assert summary.data_variance == pytest.approx(2.0)
-        assert summary.total_variance == pytest.approx(2.0)
+        _, (knowledge,), (data,) = _decompose(ensemble, np.zeros((1, 3)))
+        assert knowledge == 0.0
+        assert data == pytest.approx(2.0)
+        assert total_uncertainty(ensemble) == pytest.approx(2.0)
 
     def test_identical_members_zero_knowledge_variance(self):
         ensemble = hand_ensemble(
             [constant_member(1.4, -0.3, seed=1), constant_member(1.4, -0.3, seed=2)]
         )
-        summary = predict(ensemble, np.zeros(3))
-        assert summary.knowledge_variance == 0.0
+        _, (knowledge,), _ = _decompose(ensemble, np.zeros((1, 3)))
+        assert knowledge == 0.0
 
     def test_arity_checked(self):
-        ensemble = hand_ensemble([constant_member(0, 0, seed=1), constant_member(0, 0, seed=2)])
-        with pytest.raises(ValueError):
-            predict(ensemble, np.zeros(5))
-        with pytest.raises(ValueError):
-            predict(ensemble, np.zeros((2, 3)))
+        members = [constant_member(0, 0, seed=1), constant_member(0, 0, seed=2)]
+        with pytest.raises(ValueError, match="arity"):
+            _decompose(hand_ensemble(members), np.zeros((1, 5)))
+        # Rows that fit the normaliser but not the members.
+        with pytest.raises(ValueError, match="arity"):
+            total_uncertainty(hand_ensemble(members, width=5))
 
     def test_total_variance_matches_mixture_sampling(self):
         # Equal-weight mixture of N(0,1) and N(2,1): variance 2.
         ensemble = hand_ensemble(
             [constant_member(0.0, 0.0, seed=1), constant_member(2.0, 0.0, seed=2)]
         )
-        summary = predict(ensemble, np.zeros(3))
+        total = total_uncertainty(ensemble)
         rng = np.random.default_rng(123)
         n = 1_000_000
         component = rng.integers(0, 2, size=n)
         draws = rng.normal(2.0 * component, 1.0)
         sampled = draws.var()
-        assert summary.total_variance == pytest.approx(sampled, rel=0.01)
+        assert total == pytest.approx(sampled, rel=0.01)
 
     def test_total_variance_within_monte_carlo_band(self):
         rng = np.random.default_rng(7)
@@ -675,7 +678,7 @@ class TestPredict:
         ensemble = hand_ensemble(
             [constant_member(m, lv, seed=i) for i, (m, lv) in enumerate(zip(mus, log_vars))]
         )
-        summary = predict(ensemble, np.zeros(3))
+        total = total_uncertainty(ensemble)
         n = 1_000_000
         component = rng.integers(0, 4, size=n)
         draws = rng.normal(mus[component], np.exp(log_vars[component] / 2.0))
@@ -684,7 +687,7 @@ class TestPredict:
         centred = draws - draws.mean()
         fourth = np.mean(centred**4)
         se = np.sqrt((fourth - sampled_var**2) / n)
-        assert abs(summary.total_variance - sampled_var) < 3 * se
+        assert abs(total - sampled_var) < 3 * se
 
     @given(
         mus=st.lists(st.floats(-5, 5), min_size=2, max_size=6),
@@ -699,14 +702,15 @@ class TestPredict:
         ensemble = hand_ensemble(
             [constant_member(m, lv, seed=i) for i, (m, lv) in enumerate(zip(mus, log_vars))]
         )
-        summary = predict(ensemble, np.zeros(3))
-        assert summary.knowledge_variance >= 0.0
-        assert summary.data_variance > 0.0
-        assert summary.total_variance == summary.knowledge_variance + summary.data_variance
+        _, (knowledge,), (data,) = _decompose(ensemble, np.zeros((1, 3)))
+        total = total_uncertainty(ensemble)
+        assert knowledge >= 0.0
+        assert data > 0.0
+        assert total == knowledge + data
         # Second-moment identity for the equal-weight Gaussian mixture.
         second_moment = np.mean(np.exp(log_vars) + mus**2)
         np.testing.assert_allclose(
-            summary.total_variance,
+            total,
             second_moment - np.mean(mus) ** 2,
             rtol=1e-9,
             atol=1e-12,
@@ -777,8 +781,9 @@ class TestTotalUncertainty:
 
 
 def test_breaking_the_decomposition_fails_both_oracles(monkeypatch):
-    # predict (checked by acceptance criterion 2) and total_uncertainty
-    # (the scalar on the wire) share _decompose, so one fault fails both.
+    # Acceptance criterion 2 (the Monte-Carlo oracle) and the hand case
+    # both read the scalar on the wire, total_uncertainty, through
+    # _decompose, so one fault there fails both.
     import test_acceptance
     from chaincontrib import ensemble as module
 
@@ -830,7 +835,3 @@ class TestEnsembleInvariants:
     def test_single_member_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             hand_ensemble([constant_member(0, 0, seed=1)])
-
-    def test_summary_requires_nonnegative_components(self):
-        with pytest.raises(ValueError):
-            PredictiveSummary(mean=0.0, knowledge_variance=-1.0, data_variance=1.0)

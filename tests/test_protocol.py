@@ -7,6 +7,7 @@ import math
 import socket
 import sys
 import threading
+import time
 from contextlib import ExitStack
 from types import SimpleNamespace
 
@@ -614,6 +615,16 @@ class TestRankContributions:
         ranking.to_csv(tmp_path / "ranking.csv")
         assert ContributionRanking.from_csv(tmp_path / "ranking.csv") == ranking
 
+    def test_csv_with_a_byte_order_mark_reads_back(self, tmp_path):
+        ranking = rank_contributions(
+            [response("A", 0.1 + 0.2), response("B", 3.0)],
+            noise=response(NOISE_ACTOR_ID, 2.0),
+        )
+        path = tmp_path / "ranking.csv"
+        ranking.to_csv(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert ContributionRanking.from_csv(path) == ranking
+
     @pytest.mark.parametrize("flag", ["True", "1", "", "yes"])
     def test_csv_reader_rejects_non_canonical_flags(self, tmp_path, flag):
         path = tmp_path / "ranking.csv"
@@ -1095,6 +1106,89 @@ class TestSocketTransport:
         assert not peer.is_alive()
         assert mine == "floor"
         assert outcome.message == reply
+
+    def test_dribbling_peer_times_out_within_the_deadline(self):
+        # A peer that reads the call, then sends a valid reply one byte
+        # every 0.1 s, would take about 11 s. Every read it does makes is
+        # quicker than the deadline, but the exchange as a whole is not.
+        datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
+        listener = socket.create_server(("127.0.0.1", 0))
+        reply = encode_message(UncertaintyResponse("dribbler", protocol.CALL_ID, 0.5))
+        hung_up = threading.Event()
+
+        def dribble() -> None:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                stream.readline()
+                try:
+                    for byte in reply:
+                        if hung_up.wait(0.1):
+                            return
+                        conn.sendall(bytes([byte]))
+                except OSError:
+                    pass  # the coordinator hung up
+
+        peer = threading.Thread(target=dribble, daemon=True)
+        peer.start()
+        deadline = 2.0
+        try:
+            with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as honest:
+                transport = SocketTransport([honest.address, listener.getsockname()[:2]])
+                start = time.monotonic()
+                ranking, log = run_campaign(
+                    transport,
+                    metric,
+                    None,
+                    FAST_HYPER,
+                    base_seed=6,
+                    deadline=deadline,
+                    noise_feature_count=2,
+                )
+                elapsed = time.monotonic() - start
+        finally:
+            hung_up.set()
+            peer.join(timeout=10.0)
+            listener.close()
+        assert not peer.is_alive()
+        assert elapsed < deadline + 1.0
+        assert set(ranking.actor_order()) == {datasets[0].actor_id, NOISE_ACTOR_ID}
+        [timeout] = log["timeouts"]
+        assert timeout["detail"] == "timed out"
+
+    def test_server_drops_a_dribbling_client_after_its_timeout(self, monkeypatch):
+        # The server handles one connection at a time, so a client that
+        # sends its call one byte every 0.1 s must lose the server once the
+        # handler's timeout has passed, not hold it for as long as it sends.
+        monkeypatch.setattr(protocol._CallHandler, "timeout", 0.5)
+        datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
+        frame = encode_message(example_call())
+        stop = threading.Event()
+
+        def dribble(conn: socket.socket) -> None:
+            try:
+                for byte in frame[:40]:
+                    if stop.wait(0.1):
+                        return
+                    conn.sendall(bytes([byte]))
+            except OSError:
+                pass  # the server hung up
+
+        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+            with socket.create_connection(server.address, timeout=5.0) as slow:
+                slow.sendall(frame[:1])
+                peer = threading.Thread(target=dribble, args=(slow,), daemon=True)
+                peer.start()
+                time.sleep(0.05)  # the server is reading the slow call
+                start = time.monotonic()
+                try:
+                    reply = decode_message(self.ask(server, frame))
+                    waited = time.monotonic() - start
+                finally:
+                    stop.set()
+                    peer.join(timeout=10.0)
+        assert not peer.is_alive()
+        assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+        assert waited < 0.5 + 1.0
 
     def test_oversized_reply_counts_as_failed_peer(self):
         listener = socket.create_server(("127.0.0.1", 0))
