@@ -112,17 +112,16 @@ def pool_features(
     if not actors:
         raise ValueError("at least one actor dataset required")
     common = set.intersection(*(set(a.part_ids) for a in actors))
-    ids = [pid for pid in metric.part_ids if pid in common]
-    if not ids:
+    positions = [i for i, pid in enumerate(metric.part_ids) if pid in common]
+    if not positions:
         raise ValueError("no part ids shared by every actor and the metric")
+    ids = [metric.part_ids[i] for i in positions]
 
     rows = [actor.rows_for(ids) for actor in actors]
     pooled = _pooled_columns(actors)
-    metric_map = metric.as_mapping()
-    targets = np.array([metric_map[pid] for pid in ids], dtype=float)
     return (
         np.column_stack([rows[k][:, j] for k, j, _ in pooled]),
-        targets,
+        metric.values[positions],
         tuple(ids),
         tuple(index for _, _, index in pooled),
     )
@@ -210,7 +209,14 @@ def _draw_coalitions(
     d: int, sample_count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coalition masks and their regression weights, as :func:`kernel_shap`
-    describes: every proper coalition, or ``sample_count`` merged draws."""
+    describes: every proper coalition, or ``sample_count`` merged draws.
+
+    A draw keeps the features whose keys are at most its s-th smallest
+    key, which is the s smallest whenever its keys are distinct. Two of
+    its d keys of 53 random bits tie with probability at most
+    d (d - 1) / 2 ** 54, about 1.5e-14 per draw at d = 17; a tie at the
+    s-th key would keep more than s features.
+    """
     if 2**d - 2 <= sample_count:
         masks = _all_coalitions(d)[1:-1]
         size_weight = np.array([shapley_kernel_weight(d, s) for s in range(1, d)])
@@ -220,9 +226,9 @@ def _draw_coalitions(
     size_prob = size_mass / size_mass.sum()
     sizes_drawn = rng.choice(np.arange(1, d), size=sample_count, p=size_prob)
     # Each draw keeps the features holding its s smallest random keys.
-    ranked = np.argsort(rng.random((sample_count, d)), axis=1)
-    drawn = np.empty((sample_count, d), dtype=bool)
-    np.put_along_axis(drawn, ranked, np.arange(d) < sizes_drawn[:, None], axis=1)
+    keys = rng.random((sample_count, d))
+    kth = np.take_along_axis(np.sort(keys, axis=1), sizes_drawn[:, None] - 1, axis=1)
+    drawn = keys <= kth
     # Repeated coalitions merge into one row weighted by its count. Packed
     # rows compare bytewise in the order np.unique(drawn, axis=0) sorts.
     packed = np.packbits(drawn, axis=1)
@@ -305,11 +311,15 @@ def _attribute(
     masks, weights = _draw_coalitions(d, sample_count, seed)
     solve = _attribution_solver(masks, weights)
     block = max(1, _BLOCK_ROWS // masks.shape[0])
+    # Row k of the table is [background mean | instance k]. A coalition's
+    # row takes each feature it holds from the instance and every other
+    # feature from the background mean, so it is one gather from the table.
+    table = np.hstack([np.broadcast_to(background_mean, instances.shape), instances])
+    index = masks * d + np.arange(d)
     values = np.empty(instances.shape)
     for start in range(0, instances.shape[0], block):
         stop = start + block
-        # Features outside the coalition are replaced by the background mean.
-        rows = np.where(masks, instances[start:stop, None, :], background_mean)
+        rows = table[start:stop].take(index, axis=1)
         coalition_values = fn(rows.reshape(-1, d)).reshape(-1, masks.shape[0])
         values[start:stop] = solve(coalition_values.T, base, predictions[start:stop])
     return values, base, predictions

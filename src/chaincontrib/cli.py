@@ -119,11 +119,17 @@ def _positive(name: str, value) -> float:
     return real
 
 
-def _names(value) -> tuple:
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be text, got {value!r}")
+    return value
+
+
+def _names(name: str, value) -> tuple[str, ...]:
     # tuple() of one string would split it into letters.
     if isinstance(value, str):
-        raise TypeError(f"expected a list of column names, got {value!r}")
-    return tuple(value)
+        raise TypeError(f"{name}: expected a list of column names, got {value!r}")
+    return tuple(_text(name, v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -145,14 +151,19 @@ class DataConfig:
             raise ValueError(f"column_missing_threshold must be in (0, 1], got {threshold!r}")
         setpoints = self.setpoints
         if setpoints is not None:
-            setpoints = {str(k): _positive("setpoints", v) for k, v in setpoints.items()}
+            setpoints = {
+                _text("setpoints", k): _positive("setpoints", v) for k, v in setpoints.items()
+            }
         _set(
             self,
             input_csv=_path(self.input_csv),
-            id_column=str(self.id_column),
-            actor_schema={str(k): str(v) for k, v in self.actor_schema.items()},
-            shared_columns=_names(self.shared_columns),
-            measurement_columns=_names(self.measurement_columns),
+            id_column=_text("id_column", self.id_column),
+            actor_schema={
+                _text("actor_schema", k): _text("actor_schema", v)
+                for k, v in self.actor_schema.items()
+            },
+            shared_columns=_names("shared_columns", self.shared_columns),
+            measurement_columns=_names("measurement_columns", self.measurement_columns),
             setpoints=setpoints,
             column_missing_threshold=threshold,
             actor_dir=_path(self.actor_dir),
@@ -410,6 +421,10 @@ def _spawn_actors(
     return endpoints
 
 
+def _write_log(path: Path, log: dict) -> None:
+    path.write_text(json.dumps(log, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def cmd_run_decentralised(config: RunConfig) -> int:
     out = config.out / "decentralised"
     ranking_path, log_path = out / "ranking.csv", out / "campaign_log.json"
@@ -445,6 +460,12 @@ def cmd_run_decentralised(config: RunConfig) -> int:
             noise_feature_count=cc.noise_feature_count,
             slack=cc.slack,
         )
+    except CampaignError as exc:
+        # A failed campaign still records its declines and timeouts.
+        if exc.log is not None:
+            _write_log(log_path, exc.log)
+            print(f"wrote {log_path}")
+        raise
     finally:
         for proc in processes:
             proc.terminate()
@@ -457,7 +478,7 @@ def cmd_run_decentralised(config: RunConfig) -> int:
             proc.stdout.close()
 
     ranking.to_csv(ranking_path)
-    log_path.write_text(json.dumps(log, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_log(log_path, log)
     print(f"ranked {len(ranking.entries)} actors (noise floor {ranking.noise_floor:.6g})")
     if log["declines"]:
         print(f"declined: {', '.join(log['declines'])}")

@@ -355,7 +355,7 @@ class MetricSeries:
         return len(self.part_ids)
 
     def as_mapping(self) -> dict[str, float]:
-        return {pid: float(v) for pid, v in zip(self.part_ids, self.values)}
+        return dict(zip(self.part_ids, self.values.tolist()))
 
     def to_csv(self, path: str | Path) -> None:
         write_csv(path, ["part_id", "value"], zip(self.part_ids, self.values.tolist()))

@@ -79,7 +79,16 @@ class DecodeError(ValueError):
 
 
 class CampaignError(RuntimeError):
-    """A campaign could not produce a ranking."""
+    """A campaign could not produce a ranking.
+
+    When every actor declined or timed out, ``log`` is the campaign log
+    without a ranking: the call, its declines and its timeouts. For any
+    other failure it is None.
+    """
+
+    def __init__(self, message: str, log: dict | None = None):
+        super().__init__(message)
+        self.log = log
 
 
 def derive_seed(base_seed: int, label: str) -> int:
@@ -666,7 +675,8 @@ def run_campaign(
     The coordinator's noise baseline is handed to the transport as its
     own share of the call: the socket transport trains it while the
     actors train theirs. A failing noise baseline therefore raises its
-    ``CampaignError`` even when every actor declined as well.
+    ``CampaignError`` even when every actor declined as well. When every
+    actor declined or timed out, the ``CampaignError`` carries the log.
 
     Timeouts and unreachable endpoints count as declines. The result is a
     pure function of (metric, actor membership, hyper, seeds): per-actor
@@ -702,7 +712,7 @@ def run_campaign(
         else:
             log["timeouts"].append({"peer": outcome.peer, "detail": outcome.detail})
     if not responses:
-        raise CampaignError("every actor declined or timed out; nothing to rank")
+        raise CampaignError("every actor declined or timed out; nothing to rank", log)
 
     responses.sort(key=lambda r: r.actor_id)
     ranking = rank_contributions(responses, noise, slack=slack)

@@ -272,12 +272,20 @@ def test_kernel_sampled_coalitions_merge_like_reference(d: int) -> None:
     np.testing.assert_array_equal(got, expected)
 
 
-@pytest.mark.parametrize("d", [3, 8, 9, 17, 65])
-def test_sampled_coalitions_merge_like_unique_rows(d: int) -> None:
-    # Widths around the byte edges of the packed rows.
+# Widths around the byte edges of the packed rows, each at the seed d and
+# at a few more seeds.
+DRAW_WIDTHS = (2, 3, 8, 9, 17, 63, 64, 65)
+
+
+@pytest.mark.parametrize(
+    ("d", "seed"),
+    [pytest.param(d, d, id=str(d)) for d in DRAW_WIDTHS]
+    + [pytest.param(d, seed, id=f"{d}-seed{seed}") for d in DRAW_WIDTHS for seed in (101, 202, 303)],
+)
+def test_sampled_coalitions_merge_like_unique_rows(d: int, seed: int) -> None:
     budget = min(3000, 2**d - 3)
-    masks, weights = _draw_coalitions(d, budget, seed=d)
-    rows, counts = np.unique(reference_draws(d, budget, seed=d), axis=0, return_counts=True)
+    masks, weights = _draw_coalitions(d, budget, seed=seed)
+    rows, counts = np.unique(reference_draws(d, budget, seed=seed), axis=0, return_counts=True)
     np.testing.assert_array_equal(masks, rows)
     np.testing.assert_array_equal(weights, counts.astype(float))
 
@@ -396,6 +404,36 @@ def test_factored_solve_matches_per_instance_lstsq(d, sample_count, count) -> No
     values, _, _ = _attribute(fn, instances, background, sample_count, seed=3)
     expected = lstsq_attributions(fn, instances, background, sample_count, seed=3)
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("d", "sample_count", "count"),
+    [
+        (6, 64, 70),  # all 62 coalitions, blocks of 66, then 4
+        (11, 2048, 5),  # all 2 046 coalitions, blocks of 2, then 1
+        (17, 2048, 7),  # sampled: about 1 270 coalitions, blocks of 3, then 1
+        (65, 200, 30),  # sampled: about 200 coalitions, blocks of 20, then 10
+    ],
+)
+def test_coalition_rows_are_the_masked_instances(d, sample_count, count) -> None:
+    rng = np.random.default_rng(50 + d)
+    instances = rng.normal(size=(count, d))
+    background = rng.normal(size=(9, d))
+    calls = []
+
+    def recording(rows: np.ndarray) -> np.ndarray:
+        calls.append(rows.copy())
+        return np.tanh(rows).sum(axis=1)
+
+    _attribute(recording, instances, background, sample_count, seed=3)
+    masks, _ = _draw_coalitions(d, sample_count, seed=3)
+    assert max(len(rows) for rows in calls) <= max(baseline._BLOCK_ROWS, len(masks))
+    # The base value and the predictions come first, then one call per block.
+    blocks = [rows.reshape(-1, len(masks), d) for rows in calls[2:]]
+    assert len(blocks) > 1 and len(blocks[-1]) < len(blocks[0])
+    mean = background.mean(axis=0)
+    for instance, rows in zip(instances, np.concatenate(blocks), strict=True):
+        np.testing.assert_array_equal(rows, np.where(masks, instance, mean))
 
 
 def median_errors(d: int, budgets: list[int], networks: int) -> np.ndarray:

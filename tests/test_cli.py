@@ -120,6 +120,10 @@ def test_malformed_json_exits_two(tmp_path) -> None:
         ("data", "setpoints", {"m1": True}),
         ("data", "shared_columns", "Temp"),
         ("data", "measurement_columns", "m1"),
+        ("data", "id_column", None),
+        ("data", "actor_schema", {"Temp": None}),
+        ("data", "shared_columns", [1, 2.5]),
+        ("data", "measurement_columns", ["m1", 3]),
         ("synth", "signal_weights", "321"),
         ("synth", "row_count", 300.5),
         ("synth", "features_per_actor", 2.5),
@@ -512,9 +516,27 @@ def test_failed_run_leaves_no_earlier_results(tmp_path) -> None:
         tmp_path, "failing.json", campaign={"noise_feature_count": 4, "min_overlap": 10**6}
     )
     assert run("run-decentralised", "--config", str(failing)) == 3
-    # compare must not find the previous run's ranking.
+    # compare must not find the previous run's ranking, and the log left
+    # is the failed run's own, which ranks nothing.
     assert not (out / "ranking.csv").exists()
-    assert not (out / "campaign_log.json").exists()
+    assert "ranking" not in json.loads((out / "campaign_log.json").read_text())
+
+
+@pytest.mark.parametrize("transport", cli.TRANSPORTS)
+def test_failed_campaign_writes_its_log(tmp_path, capsys, transport) -> None:
+    # Every actor holds 400 parts, short of the overlap asked for.
+    path = write_config(
+        tmp_path, transport=transport, campaign={"noise_feature_count": 4, "min_overlap": 401}
+    )
+    synth_then(tmp_path, path)
+    assert run("run-decentralised", "--config", str(path)) == 3
+    assert capsys.readouterr().err.startswith("campaign failed: every actor declined")
+    out = tmp_path / "run" / "decentralised"
+    log = json.loads((out / "campaign_log.json").read_text())
+    assert sorted(log["declines"]) == ["actor-1", "actor-2", "actor-3"]
+    assert log["timeouts"] == [] and log["responses"] == []
+    assert set(log) == {"call_id", "transformed", "responses", "declines", "timeouts"}
+    assert not (out / "ranking.csv").exists()
 
 
 @pytest.mark.parametrize("transport", cli.TRANSPORTS)
@@ -566,6 +588,16 @@ def test_value_that_can_never_work_exits_two_before_any_actor_starts(
     assert run("run-decentralised", "--config", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {section} section invalid") and key in err
+
+
+def test_data_section_type_refuses_a_non_text_name_or_key() -> None:
+    for fields in (
+        {"actor_schema": {1: "alpha"}},
+        {"setpoints": {2: 10.0}},
+        {"shared_columns": ("hum", None)},
+    ):
+        with pytest.raises(TypeError, match="must be text"):
+            cli.DataConfig(**fields)
 
 
 def test_spawned_actors_default_to_one_blas_thread(tmp_path, monkeypatch) -> None:
