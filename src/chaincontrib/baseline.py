@@ -162,32 +162,6 @@ def train_central(
     )
 
 
-def _explained(
-    model, instances: np.ndarray, background: np.ndarray
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
-    """The function, instances and background to attribute ``model`` with.
-
-    A ``CentralModel`` is explained in normalised space. Its normaliser
-    works column by column, so masking normalised rows with the
-    normalised background mean gives, bit for bit, the rows ``predict``
-    would normalise, and the masked rows skip the transform. The
-    background becomes that one row, which is its own mean.
-    """
-    if background.shape[1] != instances.shape[1]:
-        raise ValueError("background width does not match the instance")
-    if isinstance(model, CentralModel):
-        transform = model.normaliser.transform
-        return (
-            model.predict_normalised,
-            transform(instances),
-            transform(background.mean(axis=0)[None, :]),
-        )
-    if callable(model):
-        fn = lambda rows: np.asarray(model(np.atleast_2d(rows)), dtype=float).reshape(-1)
-        return fn, instances, background
-    raise TypeError("model must be a CentralModel or a callable on feature rows")
-
-
 def shapley_kernel_weight(d: int, size: int) -> float:
     """Weight of one coalition of the given size in the kernel regression."""
     if not 0 < size < d:
@@ -284,13 +258,14 @@ def require_sample_count(sample_count: int, width: int) -> None:
 
 
 def _attribute(
-    model,
+    fn: Callable[[np.ndarray], np.ndarray],
     instances: np.ndarray,
     background: np.ndarray,
     sample_count: int,
     seed: int,
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Kernel attributions of every row of ``instances`` under ``model``.
+    """Kernel attributions of every row of ``instances`` under ``fn``, a
+    function from an (n, d) array of rows to their n predictions.
 
     Returns the attributions, the base value f(background mean) and the
     predictions f(row) that each row of attributions adds up to. The
@@ -299,8 +274,9 @@ def _attribute(
     about ``_BLOCK_ROWS`` rows, so memory stays flat however many
     instances there are.
     """
-    fn, instances, background = _explained(model, instances, background)
     d = instances.shape[1]
+    if background.shape[1] != d:
+        raise ValueError("background width does not match the instance")
     require_sample_count(sample_count, d)
     background_mean = background.mean(axis=0)
     base = float(fn(background_mean[None, :])[0])
@@ -326,13 +302,14 @@ def _attribute(
 
 
 def kernel_shap(
-    model,
+    fn: Callable[[np.ndarray], np.ndarray],
     instance: np.ndarray,
     background: np.ndarray,
     sample_count: int = 2048,
     seed: int = 0,
 ) -> np.ndarray:
-    """Per-feature attribution of f(instance) - f(background mean).
+    """Per-feature attribution of fn(instance) - fn(background mean), where
+    ``fn`` maps an (n, d) array of raw feature rows to n predictions.
 
     Coalitions are enumerated completely when the budget covers all
     2^d - 2 proper subsets. Otherwise ``sample_count`` sizes are drawn
@@ -345,22 +322,25 @@ def kernel_shap(
     """
     instance = np.asarray(instance, dtype=float).reshape(1, -1)
     background = np.atleast_2d(np.asarray(background, dtype=float))
-    values, _, _ = _attribute(model, instance, background, sample_count, seed)
+    values, _, _ = _attribute(fn, instance, background, sample_count, seed)
     return values[0]
 
 
-def exact_shapley(model, instance: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """Brute-force attribution over all 2^d coalitions; the oracle."""
+def exact_shapley(
+    fn: Callable[[np.ndarray], np.ndarray], instance: np.ndarray, background: np.ndarray
+) -> np.ndarray:
+    """Brute-force attribution of ``fn`` over all 2^d coalitions; the oracle."""
     instance = np.asarray(instance, dtype=float).reshape(-1)
     background = np.atleast_2d(np.asarray(background, dtype=float))
     d = instance.shape[0]
     if d > 12:
         raise ValueError(f"exact enumeration infeasible for {d} features (max 12)")
-    fn, rows, background = _explained(model, instance[None, :], background)
+    if background.shape[1] != d:
+        raise ValueError("background width does not match the instance")
 
     masks = _all_coalitions(d)
     # Features outside the coalition are replaced by the background mean.
-    values = fn(np.where(masks, rows[0], background.mean(axis=0)))
+    values = fn(np.where(masks, instance, background.mean(axis=0)))
     value_of = {int(bits): values[bits] for bits in range(2**d)}
 
     phi = np.zeros(d)
@@ -379,7 +359,6 @@ class ShapReport:
     """Attributions for a set of explained instances."""
 
     instance_ids: tuple[str, ...]
-    feature_names: tuple[str, ...]
     feature_index: tuple[tuple[str, str], ...]
     values: np.ndarray  # (instances, features)
     base_value: float
@@ -389,15 +368,15 @@ class ShapReport:
     def __post_init__(self) -> None:
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         predictions = np.asarray(self.predictions, dtype=float).reshape(-1)
-        if values.shape != (len(self.instance_ids), len(self.feature_names)):
+        if values.shape != (len(self.instance_ids), len(self.feature_index)):
             raise ValueError("values shape must be instances x features")
-        if len(self.feature_index) != len(self.feature_names):
-            raise ValueError("one feature_index entry per feature required")
         if predictions.shape[0] != len(self.instance_ids):
             raise ValueError("one prediction per instance required")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "predictions", predictions)
+
+    feature_names = CentralModel.feature_names  # one "actor.column" per feature
 
     def additivity_gaps(self) -> np.ndarray:
         return self.values.sum(axis=1) + self.base_value - self.predictions
@@ -435,12 +414,18 @@ def explain_central(
     if instances.shape[0] == 0:
         raise ValueError("no validation instances to explain")
 
+    # The model is explained in normalised space. Its normaliser works
+    # column by column, so masking normalised rows with the normalised
+    # background mean gives, bit for bit, the rows ``predict`` would
+    # normalise, and the masked rows skip the transform. The background
+    # becomes that one row, which is its own mean.
+    transform = model.normaliser.transform
+    mean = transform(background.mean(axis=0)[None, :])
     values, base, predictions = _attribute(
-        model, instances, background, sample_count, seed
+        model.predict_normalised, transform(instances), mean, sample_count, seed
     )
     report = ShapReport(
         instance_ids=ids,
-        feature_names=model.feature_names,
         feature_index=model.feature_index,
         values=values,
         base_value=base,

@@ -44,6 +44,7 @@ from chaincontrib.baseline import (
 )
 from chaincontrib.dataset import (
     NOISE_ACTOR_ID,
+    ActorDataset,
     MetricSeries,
     ParseError,
     SyntheticSpec,
@@ -287,21 +288,28 @@ def parse_config(raw: Mapping, args: argparse.Namespace | None = None) -> RunCon
 # -------------------------------------------------------------------- commands
 
 
+def _write_inputs(
+    config: RunConfig, datasets: Sequence[ActorDataset], series: MetricSeries
+) -> None:
+    """Save a run's actor datasets and metric series where the config says."""
+    save_actor_datasets(datasets, config.actor_dir)
+    config.metric_path.parent.mkdir(parents=True, exist_ok=True)
+    series.to_csv(config.metric_path)
+    print(f"wrote {len(datasets)} actor datasets to {config.actor_dir}")
+    print(f"wrote metric series ({len(series)} rows) to {config.metric_path}")
+
+
 def cmd_synth(config: RunConfig) -> int:
     if config.synth is None:
         raise ConfigError("synth command requires a synth section in the config")
     datasets, series, truth = generate_synthetic(config.synth)
-    save_actor_datasets(datasets, config.actor_dir)
-    config.metric_path.parent.mkdir(parents=True, exist_ok=True)
-    series.to_csv(config.metric_path)
+    _write_inputs(config, datasets, series)
     truth_path = config.actor_dir / "truth.json"
     truth_path.write_text(
         json.dumps({k: float(v) for k, v in truth.items()}, sort_keys=True, indent=2)
         + "\n",
         encoding="utf-8",
     )
-    print(f"wrote {len(datasets)} actor datasets to {config.actor_dir}")
-    print(f"wrote metric series ({len(series)} rows) to {config.metric_path}")
     print(f"wrote ground truth to {truth_path}")
     return 0
 
@@ -352,11 +360,7 @@ def cmd_ingest(config: RunConfig) -> int:
     datasets = partition_actors(
         cleaned.select(feature_columns, keep), data.actor_schema, data.shared_columns
     )
-    save_actor_datasets(datasets, config.actor_dir)
-    config.metric_path.parent.mkdir(parents=True, exist_ok=True)
-    series.to_csv(config.metric_path)
-    print(f"wrote {len(datasets)} actor datasets to {config.actor_dir}")
-    print(f"wrote metric series ({len(series)} rows) to {config.metric_path}")
+    _write_inputs(config, datasets, series)
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +62,6 @@ class EnsembleHyper:
             raise ValueError("learning_rate must be non-negative")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnsembleHyper":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown hyperparameter fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -501,15 +491,14 @@ class Normaliser:
         return cls(mean=mean, scale=np.where(zero, 1.0, std), zero_variance=zero)
 
     def transform(self, features: np.ndarray) -> np.ndarray:
+        """Z-scores of an (n, d) array of feature rows."""
         features = np.asarray(features, dtype=float)
-        single = features.ndim == 1
-        batch = np.atleast_2d(features)
-        if batch.shape[1] != self.mean.shape[0]:
+        if features.ndim != 2 or features.shape[1] != self.mean.shape[0]:
             raise ValueError("feature arity does not match the normaliser")
-        out = (batch - self.mean) / self.scale
+        out = (features - self.mean) / self.scale
         # A column constant in training carries no signal; pin it to zero.
         out[:, self.zero_variance] = 0.0
-        return out[0] if single else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -582,7 +571,7 @@ def _decompose(ensemble: Ensemble, rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
     One evaluation-mode forward pass over the stacked members.
     """
-    batch = np.atleast_2d(ensemble.normaliser.transform(rows))
+    batch = ensemble.normaliser.transform(rows)
     input_size, hidden_size = ensemble.members[0].w1.shape
     _check_arity(batch, input_size)
     theta = np.stack([m.parameter_vector() for m in ensemble.members])

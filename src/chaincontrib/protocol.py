@@ -31,7 +31,7 @@ import socketserver
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, Union
@@ -166,7 +166,7 @@ class Decline:
 
 Message = Union[CallForUncertainty, UncertaintyResponse, Decline]
 
-_HYPER_FIELDS = frozenset(EnsembleHyper().to_dict())
+_HYPER_FIELDS = frozenset(f.name for f in fields(EnsembleHyper))
 
 
 def encode_message(message: Message) -> bytes:
@@ -178,7 +178,7 @@ def encode_message(message: Message) -> bytes:
             "call_id": message.call_id,
             "part_ids": list(message.metric.part_ids),
             "values": [float(v) for v in message.metric.values],
-            "hyper": message.hyper.to_dict(),
+            "hyper": asdict(message.hyper),
             "response_deadline": message.response_deadline,
         }
     elif isinstance(message, UncertaintyResponse):
@@ -231,8 +231,8 @@ def decode_message(data: bytes) -> Message:
         if not isinstance(hyper_raw, dict):
             raise DecodeError("malformed", "hyper must be an object")
         try:
-            hyper = EnsembleHyper.from_dict(
-                {k: v for k, v in hyper_raw.items() if k in _HYPER_FIELDS}
+            hyper = EnsembleHyper(
+                **{k: v for k, v in hyper_raw.items() if k in _HYPER_FIELDS}
             )
             metric = MetricSeries(
                 part_ids=tuple(str(p) for p in _require(frame, "part_ids")),
@@ -367,7 +367,8 @@ class ContributionRanking:
 
         The noise floor is the noise actor's uncertainty, or NaN when the
         file ranks no noise actor. A ``below_noise_floor`` cell must be
-        ``true`` or ``false``, as :func:`write_csv` writes it.
+        ``true`` or ``false``, as :func:`write_csv` writes it; no actor may
+        be ranked twice, and every uncertainty is finite and non-negative.
         """
         # As load_csv does, accept the byte-order mark of a spreadsheet export.
         with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
@@ -392,6 +393,11 @@ class ContributionRanking:
             )
             for row in rows
         )
+        ids = sorted(e.actor_id for e in entries)
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"{path}: an actor is ranked twice, in {ids}")
+        if not all(0.0 <= e.total_uncertainty < np.inf for e in entries):
+            raise ValueError(f"{path}: a total_uncertainty is not finite and non-negative")
         floor = [e.total_uncertainty for e in entries if e.actor_id == NOISE_ACTOR_ID]
         return cls(entries=entries, noise_floor=floor[0] if floor else float("nan"))
 
@@ -680,8 +686,10 @@ def run_campaign(
 
     Timeouts and unreachable endpoints count as declines. The result is a
     pure function of (metric, actor membership, hyper, seeds): per-actor
-    seeds are derived from actor ids, and outcomes are sorted before
-    ranking, so arrival order cannot matter.
+    seeds are derived from actor ids, and responses and declines are
+    sorted by actor id, so arrival order cannot matter (timeouts keep the
+    transport's endpoint order). Two replies, or a reply and the noise
+    baseline, that name one actor id fail the campaign.
     """
     call = issue_call(metric, transform, hyper, deadline)
     outcomes, noise = transport.request(
@@ -702,15 +710,25 @@ def run_campaign(
         "declines": [],
         "timeouts": [],
     }
-    for outcome in sorted(outcomes, key=lambda o: o.peer):
-        if outcome.message is not None and outcome.message.call_id != call.call_id:
-            raise CampaignError(f"reply from {outcome.peer} answers a different call")
-        if isinstance(outcome.message, UncertaintyResponse):
-            responses.append(outcome.message)
-        elif isinstance(outcome.message, Decline):
-            log["declines"].append(outcome.message.actor_id)
-        else:
+    claimed = {NOISE_ACTOR_ID}
+    for outcome in outcomes:
+        reply = outcome.message
+        if reply is None:
             log["timeouts"].append({"peer": outcome.peer, "detail": outcome.detail})
+            continue
+        if reply.call_id != call.call_id:
+            raise CampaignError(f"reply from {outcome.peer} answers a different call")
+        if reply.actor_id in claimed:
+            raise CampaignError(
+                f"reply from {outcome.peer} names actor {reply.actor_id!r}, "
+                "which another reply or the noise baseline already uses"
+            )
+        claimed.add(reply.actor_id)
+        if isinstance(reply, UncertaintyResponse):
+            responses.append(reply)
+        else:
+            log["declines"].append(reply.actor_id)
+    log["declines"].sort()
     if not responses:
         raise CampaignError("every actor declined or timed out; nothing to rank", log)
 

