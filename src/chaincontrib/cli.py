@@ -57,6 +57,7 @@ from chaincontrib.dataset import (
     load_csv,
     make_noise_actor,
     partition_actors,
+    require_file_name,
     require_int,
     require_real,
     save_actor_datasets,
@@ -159,8 +160,9 @@ class DataConfig:
             self,
             input_csv=_path(self.input_csv),
             id_column=_text("id_column", self.id_column),
+            # Each actor id names that actor's file in the output directory.
             actor_schema={
-                _text("actor_schema", k): _text("actor_schema", v)
+                _text("actor_schema", k): require_file_name("actor_schema", v)
                 for k, v in self.actor_schema.items()
             },
             shared_columns=_names("shared_columns", self.shared_columns),

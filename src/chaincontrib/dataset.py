@@ -59,6 +59,20 @@ def require_real(name: str, value) -> float:
     return real
 
 
+def require_file_name(name: str, value) -> str:
+    """Return ``value`` if it is text naming a file directly inside a directory.
+
+    A non-text value raises TypeError. An empty name, ``.``, ``..`` or a
+    name holding a path separator raises ValueError, so that an actor id
+    or a manifest entry never reaches outside its dataset directory.
+    """
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be text, got {value!r}")
+    if value in ("", ".", "..") or "/" in value or "\\" in value:
+        raise ValueError(f"{name} must be a bare file name, got {value!r}")
+    return value
+
+
 def _parse_cell(text: str, row_index: int, column: str) -> float:
     s = text.strip()
     if s == "" or s.lower() == "nan":
@@ -629,7 +643,13 @@ def make_noise_actor(
 
 
 def save_actor_datasets(datasets: Sequence[ActorDataset], out_dir: str | Path) -> None:
-    """Write one CSV per actor plus a manifest describing shared columns."""
+    """Write one CSV per actor plus a manifest describing shared columns.
+
+    Every actor id must be a bare file name (see ``require_file_name``);
+    nothing is written otherwise.
+    """
+    for ds in datasets:
+        require_file_name("actor id", ds.actor_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -662,6 +682,7 @@ def _read_manifest(in_dir: Path) -> list[dict]:
 
 
 def _load_entry(in_dir: Path, entry: dict) -> ActorDataset:
+    require_file_name(f"{in_dir / 'manifest.json'}: file", entry["file"])
     table = load_csv(in_dir / entry["file"], id_column="part_id")
     if list(table.columns) != entry["columns"]:
         raise ParseError(f"{entry['file']}: columns do not match the manifest")

@@ -164,7 +164,9 @@ def _evaluate(params, batch: np.ndarray, buffers=None) -> tuple[np.ndarray, np.n
     from ``_parameter_views``; returns the means and the clamped
     log-variances, per row or per (member, row). ``buffers`` are the
     (hidden, out) arrays of ``_forward_into`` for this shape, or None to
-    allocate them.
+    allocate them; the trainer passes views into its one work buffer, and
+    the returned means are a view into ``out``, valid until that buffer is
+    next written.
     """
     w1 = params[0]
     rows = (*w1.shape[:-2], batch.shape[0])
@@ -196,25 +198,55 @@ def nll_loss(mean, log_var, target):
     return value
 
 
+def _carve(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive C-ordered arrays of the given shapes, as views from the
+    start of a flat buffer."""
+    arrays, start = [], 0
+    for shape in shapes:
+        end = start + math.prod(shape)
+        arrays.append(buffer[start:end].reshape(shape))
+        start = end
+    return arrays
+
+
 class _Scratch:
     """Work arrays of the gradient kernel for a batch of ``rows`` rows for
-    each of ``members`` members, indexed (member, batch row, ...)."""
+    each of ``members`` members, indexed (member, batch row, ...).
 
-    def __init__(self, members: int, rows: int, hidden_size: int):
-        shape = (members, rows, hidden_size)
-        self.hidden, self.d_hidden, self.dropout = np.empty((3, *shape))
+    The arrays are views carved from the start of a flat float64 buffer
+    and a flat bool buffer of at least ``sizes(...)`` elements. Two sets
+    may share the buffers as long as they are never used together: the
+    kernel writes every array before it reads it.
+    """
+
+    @staticmethod
+    def _shapes(members: int, rows: int, hidden_size: int) -> tuple[list, list]:
+        grid, flat = (members, rows, hidden_size), members * rows
+        floats = [(3, *grid), (2, members, rows, 2), (6, flat), (members,)]
+        flags = [(2, *grid), (2, flat)]
+        return floats, flags
+
+    @classmethod
+    def sizes(cls, members: int, rows: int, hidden_size: int) -> tuple[int, int]:
+        """Elements needed of the (float64, bool) buffers."""
+        return tuple(
+            sum(map(math.prod, shapes)) for shapes in cls._shapes(members, rows, hidden_size)
+        )
+
+    def __init__(
+        self, members: int, rows: int, hidden_size: int, floats: np.ndarray, flags: np.ndarray
+    ):
+        float_shapes, flag_shapes = self._shapes(members, rows, hidden_size)
+        (self.hidden, self.d_hidden, self.dropout), (self.out, self.d_out), sixes, self.total = (
+            _carve(floats, *float_shapes)
+        )
+        (self.active, self.kept), (self.inside, self.below) = _carve(flags, *flag_shapes)
         self.member_dropout = list(self.dropout)  # each member's mask slot
-        self.active, self.kept = np.empty((2, *shape), dtype=bool)
-        self.out, self.d_out = np.empty((2, members, rows, 2))
         # The per-row terms are flat over (member, row): numpy runs a flat
         # strided column of the heads faster than a 2-d one.
         self.raw = self.out.reshape(-1, 2)[:, 1]
         self.d_mean, self.d_log_var = self.d_out.reshape(-1, 2).T
-        self.log_var, self.negated, self.inv_var, self.residual, self.fit, self.terms = (
-            np.empty((6, members * rows))
-        )
-        self.inside, self.below = np.empty((2, members * rows), dtype=bool)
-        self.total = np.empty(members)
+        self.log_var, self.negated, self.inv_var, self.residual, self.fit, self.terms = sixes
 
 
 def _loss_into(params, grads, batch, y, dropout_mask, s: _Scratch) -> list[float]:
@@ -224,8 +256,10 @@ def _loss_into(params, grads, batch, y, dropout_mask, s: _Scratch) -> list[float
     The only gradient code: ``loss_and_gradients`` and ``_train_lockstep``
     both call it. ``params`` and ``grads`` are stacked (w1, b1, w2, b2),
     ``batch`` is (members, rows, inputs) and ``y`` (members, rows); ``s``
-    fits exactly that shape. Every product and sum runs per member, in the
-    one-member order. Inputs are not checked here.
+    fits exactly that shape. Every array of ``s`` is written before it is
+    read, so nothing carries over between calls and ``s`` may share its
+    buffers with work done between them. Every product and sum runs per
+    member, in the one-member order. Inputs are not checked here.
     """
     members, n = y.shape
     lo, hi = LOG_VARIANCE_CLAMP
@@ -284,7 +318,8 @@ def loss_and_gradients(
     grad = np.empty_like(theta)
     params, grads = (_parameter_views(a, input_size, hidden_size) for a in (theta, grad))
     mask = None if dropout_mask is None else np.asarray(dropout_mask, dtype=float)[None]
-    s = _Scratch(1, n, hidden_size)
+    floats, flags = _Scratch.sizes(1, n, hidden_size)
+    s = _Scratch(1, n, hidden_size, np.empty(floats), np.empty(flags, dtype=bool))
     (loss,) = _loss_into(params, grads, batch[None], y[None], mask, s)
     return loss, dict(zip(("w1", "b1", "w2", "b2"), (g[0] for g in grads)))
 
@@ -355,7 +390,23 @@ def _train_lockstep(
     # rngs[i]; the rows of a member that stops are dropped.
     live, bound = list(range(count)), 0
     rngs = [_rng(m.rng_seed, 1) for m in members]
-    best_val = _validation_nll(_parameter_views(theta, input_size, hidden_size), x_val, y_val)
+    # One float and one bool work buffer for the whole call, shared by three
+    # users that are never live together: the full-batch kernel scratch, the
+    # short last batch's scratch and the validation pass's (hidden, out)
+    # arrays. Steps run one batch at a time, and the validation pass only
+    # after an epoch's last step. Each user takes views from the start of
+    # the buffers, so they fit the larger of the full-batch scratch and the
+    # validation arrays; the bool buffer is the scratch's alone.
+    n_val = len(y_val)
+    float_size, flag_size = _Scratch.sizes(count, size, hidden_size)
+    floats = np.empty(max(float_size, count * n_val * (hidden_size + 2)))
+    flags = np.empty(flag_size, dtype=bool)
+    best_val = _validation_nll(
+        _parameter_views(theta, input_size, hidden_size),
+        x_val,
+        y_val,
+        _carve(floats, (count, n_val, hidden_size), (count, n_val, 2)),
+    )
     best_epoch = [0] * count
     logs: list[list[tuple[int, float]]] = [[] for _ in members]
 
@@ -365,15 +416,18 @@ def _train_lockstep(
             # Views of the first k rows, those of the members still training,
             # and work arrays for k members, for training and for the
             # evaluation pass: made at the start and again only after a
-            # member stops.
+            # member stops, all from the same two buffers.
             theta_k, grad_k, moment1_k, moment2_k, work1_k, work2_k = (
                 a[:k] for a in (theta, grad, moment1, moment2, work1, work2)
             )
             params = _parameter_views(theta_k, input_size, hidden_size)
             grads = _parameter_views(grad_k, input_size, hidden_size)
             xs, ys = x_epoch[:k], y_epoch[:k]
-            val_buffers = (np.empty((k, len(y_val), hidden_size)), np.empty((k, len(y_val), 2)))
-            work = {r: _Scratch(k, r, hidden_size) for r in {size, n_train % size} - {0}}
+            val_buffers = _carve(floats, (k, n_val, hidden_size), (k, n_val, 2))
+            work = {
+                r: _Scratch(k, r, hidden_size, floats, flags)
+                for r in {size, n_train % size} - {0}
+            }
             batches = [
                 (xs[:, a : a + size], ys[:, a : a + size], work[min(size, n_train - a)])
                 for a in range(0, n_train, size)

@@ -290,10 +290,12 @@ def _render_chart(report: ComparisonReport) -> str:
             )
         label_x = gx + group_w / 2
         label_y = height - margin_bottom + 16
+        # An actor id is text to XML: escape the three characters that are markup.
+        label = row.actor_id.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{label_x:.2f}" y="{label_y:.2f}" text-anchor="end" '
             f'font-size="11" font-family="sans-serif" '
-            f'transform="rotate(-35 {label_x:.2f} {label_y:.2f})">{row.actor_id}</text>'
+            f'transform="rotate(-35 {label_x:.2f} {label_y:.2f})">{label}</text>'
         )
     parts.append(
         f'<rect x="{margin_left}" y="{height - 28}" width="12" height="12" fill="#4477aa"/>'

@@ -368,7 +368,9 @@ class ContributionRanking:
         The noise floor is the noise actor's uncertainty, or NaN when the
         file ranks no noise actor. A ``below_noise_floor`` cell must be
         ``true`` or ``false``, as :func:`write_csv` writes it; no actor may
-        be ranked twice, and every uncertainty is finite and non-negative.
+        be ranked twice, every uncertainty is finite and non-negative, and
+        the ranks run 1..n in the order :func:`rank_contributions` gives:
+        ascending uncertainty, ties broken by actor id.
         """
         # As load_csv does, accept the byte-order mark of a spreadsheet export.
         with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
@@ -377,29 +379,41 @@ class ContributionRanking:
                 raise ValueError(
                     f"{path} is not a ranking file (columns {reader.fieldnames})"
                 )
-            rows = sorted(reader, key=lambda row: int(row["rank"]))
+            rows = list(reader)
         if not rows:
             raise ValueError(f"{path} contains no ranked actors")
         flags = {"true": True, "false": False}
         bad = [row["below_noise_floor"] for row in rows if row["below_noise_floor"] not in flags]
         if bad:
             raise ValueError(f"{path}: below_noise_floor must be true or false, got {bad}")
-        entries = tuple(
-            RankEntry(
-                estimated_rank=int(row["rank"]),
-                actor_id=row["actor_id"],
-                total_uncertainty=float(row["total_uncertainty"]),
-                below_noise_floor=flags[row["below_noise_floor"]],
-            )
-            for row in rows
-        )
+        try:
+            entries = [
+                RankEntry(
+                    estimated_rank=int(row["rank"]),
+                    actor_id=row["actor_id"],
+                    total_uncertainty=float(row["total_uncertainty"]),
+                    below_noise_floor=flags[row["below_noise_floor"]],
+                )
+                for row in rows
+            ]
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: a rank or total_uncertainty is not a number ({exc})"
+            ) from None
         ids = sorted(e.actor_id for e in entries)
         if len(set(ids)) != len(ids):
             raise ValueError(f"{path}: an actor is ranked twice, in {ids}")
         if not all(0.0 <= e.total_uncertainty < np.inf for e in entries):
             raise ValueError(f"{path}: a total_uncertainty is not finite and non-negative")
+        entries.sort(key=lambda e: (e.total_uncertainty, e.actor_id))
+        ranks = [e.estimated_rank for e in entries]
+        if ranks != list(range(1, len(entries) + 1)):
+            raise ValueError(
+                f"{path}: ranks {ranks} in ascending total_uncertainty order "
+                f"(ties by actor id) do not run 1..{len(entries)}"
+            )
         floor = [e.total_uncertainty for e in entries if e.actor_id == NOISE_ACTOR_ID]
-        return cls(entries=entries, noise_floor=floor[0] if floor else float("nan"))
+        return cls(entries=tuple(entries), noise_floor=floor[0] if floor else float("nan"))
 
 
 def rank_contributions(

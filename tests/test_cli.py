@@ -408,6 +408,22 @@ def test_ingest_measurement_used_as_feature_exits_two(tmp_path, capsys, override
     assert not (tmp_path / "run" / "data").exists()
 
 
+@pytest.mark.parametrize("actor_id", ["../x", "a/b", "..", ""])
+def test_ingest_actor_id_that_is_not_a_file_name_exits_two_unread(
+    tmp_path, capsys, monkeypatch, actor_id
+) -> None:
+    path = ingest_config(tmp_path, actor_schema={"f1": "alpha", "f2": actor_id})
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a data file was read")
+
+    monkeypatch.setattr(cli, "load_csv", no_read)
+    assert run("ingest", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data section invalid") and "bare file name" in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "x.csv").exists()
+
+
 def test_ingest_blank_setpoint_companion_drops_the_row(tmp_path, capsys) -> None:
     raw = tmp_path / "companions.csv"
     with raw.open("w", newline="") as fh:
@@ -865,6 +881,15 @@ def test_compare_ranking_with_a_bad_uncertainty_exits_two(tmp_path, capsys, valu
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "ranking.csv" in err[0]
     assert "not finite and non-negative" in err[0]
+
+
+def test_compare_ranking_out_of_order_exits_two(tmp_path, capsys) -> None:
+    path = hand_written_results(tmp_path)
+    ranking = tmp_path / "ranking.csv"
+    ranking.write_text(ranking.read_text().replace("2,b,1.0,", "7,b,1.0,"))
+    assert run("compare", "--config", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "ranking.csv" in err[0]
 
 
 # --------------------------------------------------------------------- actor

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from unittest import mock
@@ -30,6 +31,7 @@ from chaincontrib.dataset import (
     load_csv,
     make_noise_actor,
     partition_actors,
+    require_file_name,
     require_real,
     save_actor_datasets,
     write_csv,
@@ -877,6 +879,22 @@ class TestMakeNoiseActor:
             make_noise_actor(10, 3, ("P1",), seed=0)
 
 
+@pytest.mark.parametrize("name", ["actor-1", "Smith & Sons", "a.b", "..a", "...", "a b"])
+def test_require_file_name_accepts_a_bare_name(name):
+    assert require_file_name("actor id", name) == name
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../x", "/abs", "a/b", "a\\b", "dir/"])
+def test_require_file_name_refuses_a_path(name):
+    with pytest.raises(ValueError, match="actor id must be a bare file name"):
+        require_file_name("actor id", name)
+
+
+def test_require_file_name_refuses_non_text():
+    with pytest.raises(TypeError, match="must be text"):
+        require_file_name("actor id", 3)
+
+
 class TestSaveLoadActorDatasets:
     def test_round_trip(self, tmp_path):
         spec = SyntheticSpec(
@@ -939,6 +957,33 @@ class TestSaveLoadActorDatasets:
         assert alone.columns == whole.columns
         assert alone.shared_flags == whole.shared_flags
         np.testing.assert_array_equal(alone.features, whole.features)
+
+    @pytest.mark.parametrize("actor_id", ["../x", "a/b", "a\\b", "..", ".", ""])
+    def test_save_refuses_an_id_that_is_not_a_bare_file_name(self, tmp_path, actor_id):
+        spec = SyntheticSpec(
+            actor_count=2,
+            features_per_actor=2,
+            signal_weights=(1.0, 1.0),
+            noise_std=0.5,
+            row_count=200,
+            seed=4,
+        )
+        first, second = generate_synthetic(spec)[0]
+        hostile = dataclasses.replace(second, actor_id=actor_id)
+        with pytest.raises(ValueError, match="bare file name"):
+            save_actor_datasets([first, hostile], tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []  # not even the first actor's file
+
+    def test_load_refuses_a_manifest_file_outside_the_directory(self, tmp_path):
+        self.save_two_actors(tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.json"
+        (tmp_path / "data" / "actor-2.csv").rename(tmp_path / "x.csv")
+        manifest.write_text(manifest.read_text().replace('"actor-2.csv"', '"../x.csv"'))
+        with pytest.raises(ValueError, match="manifest.json: file must be a bare file name"):
+            load_actor_datasets(tmp_path / "data")
+        with pytest.raises(ValueError, match="bare file name"):
+            load_actor_dataset(tmp_path / "data", "actor-2")
+        assert load_actor_dataset(tmp_path / "data", "actor-1").actor_id == "actor-1"
 
     def test_unknown_actor_names_the_ones_found(self, tmp_path):
         self.save_two_actors(tmp_path)

@@ -542,6 +542,13 @@ class TestTrainEnsemble:
 LOCKSTEP_CASES = {
     **EQUIVALENCE_CASES,
     "odd-keep-short-batch": dict(rows=203, dropout_rate=0.3),
+    # The trainer's shared work buffer fits the larger of the kernel scratch
+    # and the validation pass: here 40 validation rows against batches of 4,
+    # so the validation pass sizes it...
+    "validation-outnumbers-batch": dict(rows=203, dropout_rate=0.5, batch_size=4),
+    # ...and here a batch of 16 against 10 validation rows (and a short last
+    # batch of one row), so the scratch sizes it.
+    "batch-outnumbers-validation": dict(rows=203, dropout_rate=0.5, validation_fraction=0.05),
 }
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -419,6 +420,21 @@ def test_chart_contains_noise_bar_label(tmp_path) -> None:
     assert svg.startswith("<svg")
     assert NOISE_ACTOR_ID in svg
     assert svg.count("<rect") >= 2 * 3  # two bars per actor
+
+
+def test_chart_is_well_formed_xml_for_ids_with_markup(tmp_path) -> None:
+    # Ingest takes actor ids from a config, e.g. a supplier "Smith & Sons".
+    ids = ["Smith & Sons", "c<d", 'e>"f\'']
+    ranking = make_ranking(dict(zip(ids, (1.0, 2.0, 3.0))), noise_uncertainty=4.0)
+    shap = {**dict(zip(ids, (4.0, 3.0, 2.0))), NOISE_ACTOR_ID: 1.0}
+    report = build_comparison(ranking, shap)
+    _, _, chart = emit_report(report, tmp_path)
+    root = ElementTree.fromstring(chart.read_text(encoding="utf-8"))
+    # The actor labels are the rotated text elements, one per row in order.
+    texts = root.iter("{http://www.w3.org/2000/svg}text")
+    labels = [t.text for t in texts if "transform" in t.attrib]
+    assert labels == [r.actor_id for r in report.rows]
+    assert set(ids) < set(labels)
 
 
 def test_emit_report_unwritable_target_raises(tmp_path) -> None:

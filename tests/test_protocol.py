@@ -660,6 +660,45 @@ class TestRankContributions:
         assert str(path) in str(caught.value)
 
 
+    def test_csv_reader_names_the_file_for_a_non_integer_rank(self, tmp_path):
+        path = tmp_path / "ranking.csv"
+        path.write_text(
+            "rank,actor_id,total_uncertainty,below_noise_floor\n"
+            f"1,a,0.5,false\nx,b,1.0,false\n3,{NOISE_ACTOR_ID},2.0,false\n"
+        )
+        with pytest.raises(ValueError, match="not a number") as caught:
+            ContributionRanking.from_csv(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1,a,0.5", "1,b,1.0", f"7,{NOISE_ACTOR_ID},2.0"],  # repeated and skipped
+            ["2,a,0.5", "3,b,1.0", f"4,{NOISE_ACTOR_ID},2.0"],  # not from 1
+            ["1,a,1.0", "2,b,0.5", f"3,{NOISE_ACTOR_ID},2.0"],  # against the uncertainty
+            ["1,b,0.5", "2,a,0.5", f"3,{NOISE_ACTOR_ID},2.0"],  # tie not broken by id
+        ],
+    )
+    def test_csv_reader_rejects_ranks_out_of_the_ranking_order(self, tmp_path, rows):
+        path = tmp_path / "ranking.csv"
+        path.write_text(
+            "rank,actor_id,total_uncertainty,below_noise_floor\n"
+            + "".join(f"{row},false\n" for row in rows)
+        )
+        with pytest.raises(ValueError, match=r"do not run 1\.\.3") as caught:
+            ContributionRanking.from_csv(path)
+        assert str(path) in str(caught.value)
+
+    def test_csv_round_trip_with_tied_uncertainties(self, tmp_path):
+        ranking = rank_contributions(
+            [response("B", 0.5), response("A", 0.5), response("C", 2.0)],
+            noise=response(NOISE_ACTOR_ID, 2.0),
+        )
+        assert ranking.actor_order() == ("A", "B", "C", NOISE_ACTOR_ID)
+        ranking.to_csv(tmp_path / "ranking.csv")
+        assert ContributionRanking.from_csv(tmp_path / "ranking.csv") == ranking
+
+
 class TestInProcessCampaign:
     def test_ranking_with_one_decliner(self):
         datasets, metric = synth_actors(seed=5, weights=(3.0, 2.0, 0.5))
