@@ -60,6 +60,7 @@ from chaincontrib.dataset import (
     require_file_name,
     require_int,
     require_real,
+    require_text,
     save_actor_datasets,
 )
 from chaincontrib.ensemble import EnsembleHyper
@@ -121,17 +122,11 @@ def _positive(name: str, value) -> float:
     return real
 
 
-def _text(name: str, value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{name} must be text, got {value!r}")
-    return value
-
-
 def _names(name: str, value) -> tuple[str, ...]:
     # tuple() of one string would split it into letters.
     if isinstance(value, str):
         raise TypeError(f"{name}: expected a list of column names, got {value!r}")
-    return tuple(_text(name, v) for v in value)
+    return tuple(require_text(name, v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -154,15 +149,16 @@ class DataConfig:
         setpoints = self.setpoints
         if setpoints is not None:
             setpoints = {
-                _text("setpoints", k): _positive("setpoints", v) for k, v in setpoints.items()
+                require_text("setpoints", k): _positive("setpoints", v)
+                for k, v in setpoints.items()
             }
         _set(
             self,
             input_csv=_path(self.input_csv),
-            id_column=_text("id_column", self.id_column),
+            id_column=require_text("id_column", self.id_column),
             # Each actor id names that actor's file in the output directory.
             actor_schema={
-                _text("actor_schema", k): require_file_name("actor_schema", v)
+                require_text("actor_schema", k): require_file_name("actor_schema", v)
                 for k, v in self.actor_schema.items()
             },
             shared_columns=_names("shared_columns", self.shared_columns),
@@ -552,15 +548,13 @@ def cmd_actor(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         min_overlap=args.min_overlap,
     )
-    server = ActorServer(actor, host=host, port=port)
-    bound_host, bound_port = server.address
-    print(f"LISTENING {bound_host} {bound_port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
+    with ActorServer(actor, host=host, port=port) as server:
+        bound_host, bound_port = server.address
+        print(f"LISTENING {bound_host} {bound_port}", flush=True)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

@@ -59,6 +59,14 @@ def require_real(name: str, value) -> float:
     return real
 
 
+def require_text(name: str, value) -> str:
+    """Return ``value`` if it is text; any other type raises TypeError, so
+    that no number or null from a config or a frame becomes a name."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be text, got {value!r}")
+    return value
+
+
 def require_file_name(name: str, value) -> str:
     """Return ``value`` if it is text naming a file directly inside a directory.
 
@@ -66,9 +74,7 @@ def require_file_name(name: str, value) -> str:
     name holding a path separator raises ValueError, so that an actor id
     or a manifest entry never reaches outside its dataset directory.
     """
-    if not isinstance(value, str):
-        raise TypeError(f"{name} must be text, got {value!r}")
-    if value in ("", ".", "..") or "/" in value or "\\" in value:
+    if require_text(name, value) in ("", ".", "..") or "/" in value or "\\" in value:
         raise ValueError(f"{name} must be a bare file name, got {value!r}")
     return value
 
@@ -94,7 +100,6 @@ class RawTable:
     from the numeric payload.
     """
 
-    id_column: str
     ids: tuple[str, ...]
     columns: tuple[str, ...]
     values: np.ndarray  # (n_rows, n_columns), NaN marks a missing cell
@@ -134,7 +139,7 @@ class RawTable:
         ids = self.ids
         if rows is not None:
             values, ids = values[rows], tuple(compress(ids, rows))
-        return RawTable(self.id_column, ids, tuple(columns), values)
+        return RawTable(ids, tuple(columns), values)
 
 
 def load_csv(path: str | Path, id_column: str) -> RawTable:
@@ -186,7 +191,7 @@ def load_csv(path: str | Path, id_column: str) -> RawTable:
             seen.add(part_id)
 
     values = np.asarray(cells, dtype=float).reshape(len(ids), len(columns))
-    return RawTable(id_column=id_column, ids=tuple(ids), columns=columns, values=values)
+    return RawTable(ids=tuple(ids), columns=columns, values=values)
 
 
 # Rows are formatted and written in blocks of about this many cells (250
@@ -445,14 +450,10 @@ class ActorDataset:
             raise ValueError("one shared flag per column required")
         if len(set(self.part_ids)) != len(self.part_ids):
             raise ValueError("part_ids must be unique")
-        if features.size and np.any(np.isnan(features)):
-            raise ValueError(f"actor {self.actor_id!r}: features contain missing values")
+        if not np.isfinite(features).all():
+            raise ValueError(f"actor {self.actor_id!r}: missing or infinite feature values")
         features.setflags(write=False)
         object.__setattr__(self, "features", features)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.part_ids)
 
     def rows_for(self, part_ids: Sequence[str]) -> np.ndarray:
         """Feature rows for the given part ids, in the given order."""
@@ -674,15 +675,30 @@ def save_actor_datasets(datasets: Sequence[ActorDataset], out_dir: str | Path) -
 
 
 def _read_manifest(in_dir: Path) -> list[dict]:
+    """The manifest's entries; ParseError unless each actor_id is a bare file name."""
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {in_dir}")
     with manifest_path.open(encoding="utf-8") as fh:
-        return json.load(fh)["actors"]
+        manifest = json.load(fh)
+    try:
+        entries = manifest["actors"]
+        for entry in entries:
+            require_file_name("actor_id", entry["actor_id"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{manifest_path}: {exc}") from None
+    return entries
 
 
 def _load_entry(in_dir: Path, entry: dict) -> ActorDataset:
-    require_file_name(f"{in_dir / 'manifest.json'}: file", entry["file"])
+    """ParseError unless the entry's file is a bare file name and its flags booleans."""
+    try:
+        require_file_name("file", entry["file"])
+        flags = entry["shared_flags"]
+        if set(map(type, flags)) - {bool}:
+            raise TypeError(f"shared_flags must be true or false, got {flags!r}")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{in_dir / 'manifest.json'}: {exc}") from None
     table = load_csv(in_dir / entry["file"], id_column="part_id")
     if list(table.columns) != entry["columns"]:
         raise ParseError(f"{entry['file']}: columns do not match the manifest")
@@ -691,7 +707,7 @@ def _load_entry(in_dir: Path, entry: dict) -> ActorDataset:
         part_ids=table.ids,
         columns=table.columns,
         features=table.values,
-        shared_flags=tuple(bool(f) for f in entry["shared_flags"]),
+        shared_flags=tuple(flags),
     )
 
 

@@ -192,10 +192,7 @@ def nll_loss(mean, log_var, target):
     mean = np.asarray(mean, dtype=float)
     log_var = np.asarray(log_var, dtype=float)
     target = np.asarray(target, dtype=float)
-    value = 0.5 * log_var + 0.5 * (target - mean) ** 2 * np.exp(-log_var)
-    if value.ndim == 0:
-        return float(value)
-    return value
+    return 0.5 * log_var + 0.5 * (target - mean) ** 2 * np.exp(-log_var)
 
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -578,10 +575,6 @@ class Ensemble:
         rows.setflags(write=False)
         object.__setattr__(self, "validation_rows", rows)
         object.__setattr__(self, "members", tuple(self.members))
-
-    @property
-    def member_count(self) -> int:
-        return len(self.members)
 
 
 def train_ensemble(

@@ -122,7 +122,11 @@ class ComparisonReport:
     kendall: float
     spearman: float
     noise_contrast: float
-    noise_actor_id: str | None
+
+    @property
+    def noise_actor_id(self) -> str | None:
+        """``NOISE_ACTOR_ID`` when a row holds the noise actor, else None."""
+        return next((r.actor_id for r in self.rows if r.actor_id == NOISE_ACTOR_ID), None)
 
     def __post_init__(self) -> None:
         if len(self.rows) >= 2:
@@ -200,13 +204,7 @@ def build_comparison(
     else:
         contrast = math.nan
 
-    return ComparisonReport(
-        rows=rows,
-        kendall=tau,
-        spearman=rho,
-        noise_contrast=contrast,
-        noise_actor_id=None if noise is None else NOISE_ACTOR_ID,
-    )
+    return ComparisonReport(rows=rows, kendall=tau, spearman=rho, noise_contrast=contrast)
 
 
 RANK_TABLE_NAME = "rank_table.csv"

@@ -30,6 +30,7 @@ import socket
 import socketserver
 import threading
 import time
+from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
@@ -44,6 +45,7 @@ from chaincontrib.dataset import (
     MetricSeries,
     make_noise_actor,
     require_real,
+    require_text,
     write_csv,
 )
 from chaincontrib.ensemble import (
@@ -81,9 +83,9 @@ class DecodeError(ValueError):
 class CampaignError(RuntimeError):
     """A campaign could not produce a ranking.
 
-    When every actor declined or timed out, ``log`` is the campaign log
-    without a ranking: the call, its declines and its timeouts. For any
-    other failure it is None.
+    When every actor declined or timed out, or a reply answered another
+    call or named an actor id in use, ``log`` is the campaign log as read
+    so far, without a ranking. For a failing noise baseline it is None.
     """
 
     def __init__(self, message: str, log: dict | None = None):
@@ -207,8 +209,16 @@ def _require(frame: dict, key: str):
     return frame[key]
 
 
+def _require_text(frame: dict, key: str) -> str:
+    try:
+        return require_text(key, _require(frame, key))
+    except TypeError as exc:
+        raise DecodeError("malformed", str(exc)) from None
+
+
 def decode_message(data: bytes) -> Message:
-    """Inverse of encode_message; unknown fields are ignored."""
+    """Inverse of encode_message; unknown fields are ignored. Ids must be
+    JSON strings and metric values JSON numbers, or the frame is malformed."""
     if not data or not data.endswith(b"\n"):
         raise DecodeError("truncated", "frame must end with a newline")
     try:
@@ -225,18 +235,23 @@ def decode_message(data: bytes) -> Message:
             "version-mismatch", f"got {version!r}, speak {SCHEMA_VERSION}"
         )
     kind = _require(frame, "kind")
-    call_id = str(_require(frame, "call_id"))
+    call_id = _require_text(frame, "call_id")
     if kind == "call":
         hyper_raw = _require(frame, "hyper")
         if not isinstance(hyper_raw, dict):
             raise DecodeError("malformed", "hyper must be an object")
+        part_ids, values = _require(frame, "part_ids"), _require(frame, "values")
+        # One check of each list's element types, not one call per element.
+        if not isinstance(part_ids, list) or set(map(type, part_ids)) - {str}:
+            raise DecodeError("malformed", "part_ids must be a list of strings")
+        if not isinstance(values, list) or set(map(type, values)) - {int, float}:
+            raise DecodeError("malformed", "values must be a list of numbers")
         try:
             hyper = EnsembleHyper(
                 **{k: v for k, v in hyper_raw.items() if k in _HYPER_FIELDS}
             )
             metric = MetricSeries(
-                part_ids=tuple(str(p) for p in _require(frame, "part_ids")),
-                values=np.asarray(_require(frame, "values"), dtype=float),
+                part_ids=tuple(part_ids), values=np.asarray(values, dtype=float)
             )
             return CallForUncertainty(
                 call_id=call_id,
@@ -250,16 +265,17 @@ def decode_message(data: bytes) -> Message:
         value = _require(frame, "total_uncertainty")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DecodeError("malformed", "total_uncertainty must be one number")
+        actor_id = _require_text(frame, "actor_id")
         try:
             return UncertaintyResponse(
-                actor_id=str(_require(frame, "actor_id")),
+                actor_id=actor_id,
                 call_id=call_id,
                 total_uncertainty=float(value),
             )
         except (ValueError, OverflowError) as exc:
             raise DecodeError("malformed", str(exc)) from None
     if kind == "decline":
-        return Decline(actor_id=str(_require(frame, "actor_id")), call_id=call_id)
+        return Decline(actor_id=_require_text(frame, "actor_id"), call_id=call_id)
     raise DecodeError("unknown-kind", repr(kind))
 
 
@@ -347,7 +363,12 @@ class ContributionRanking:
     """Actors ordered by ascending uncertainty; rank 1 = highest contribution."""
 
     entries: tuple[RankEntry, ...]
-    noise_floor: float
+
+    @property
+    def noise_floor(self) -> float:
+        """The noise actor's uncertainty, or NaN when no noise actor is ranked."""
+        floor = [e.total_uncertainty for e in self.entries if e.actor_id == NOISE_ACTOR_ID]
+        return floor[0] if floor else float("nan")
 
     def actor_order(self) -> tuple[str, ...]:
         return tuple(entry.actor_id for entry in self.entries)
@@ -365,8 +386,7 @@ class ContributionRanking:
     def from_csv(cls, path) -> "ContributionRanking":
         """Read back a file written by :meth:`to_csv`.
 
-        The noise floor is the noise actor's uncertainty, or NaN when the
-        file ranks no noise actor. A ``below_noise_floor`` cell must be
+        A ``below_noise_floor`` cell must be
         ``true`` or ``false``, as :func:`write_csv` writes it; no actor may
         be ranked twice, every uncertainty is finite and non-negative, and
         the ranks run 1..n in the order :func:`rank_contributions` gives:
@@ -412,8 +432,7 @@ class ContributionRanking:
                 f"{path}: ranks {ranks} in ascending total_uncertainty order "
                 f"(ties by actor id) do not run 1..{len(entries)}"
             )
-        floor = [e.total_uncertainty for e in entries if e.actor_id == NOISE_ACTOR_ID]
-        return cls(entries=tuple(entries), noise_floor=floor[0] if floor else float("nan"))
+        return cls(entries=tuple(entries))
 
 
 def rank_contributions(
@@ -423,7 +442,8 @@ def rank_contributions(
 ) -> ContributionRanking:
     """Ascending sort of all reported scalars, noise included.
 
-    An actor whose uncertainty reaches ``slack`` times the noise floor is
+    ``noise`` is the noise baseline's reply, as ``NOISE_ACTOR_ID``. An
+    actor whose uncertainty reaches ``slack`` times the noise floor is
     flagged as showing no significant contribution; the noise baseline
     itself is never flagged. Ties break lexicographically by actor id.
     """
@@ -453,7 +473,7 @@ def rank_contributions(
         )
         for i, r in enumerate(everyone)
     )
-    return ContributionRanking(entries=entries, noise_floor=floor)
+    return ContributionRanking(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -638,7 +658,8 @@ class _CallHandler(socketserver.BaseRequestHandler):
 
 
 class ActorServer(socketserver.TCPServer):
-    """Serves one actor over a stream socket, one call per connection."""
+    """Serves one actor over a stream socket, one call per connection, as
+    any ``socketserver`` server: ``serve_forever()``, ``shutdown()``."""
 
     # As socket.create_server does; TCPServer leaves it off by default.
     allow_reuse_address = True
@@ -646,7 +667,6 @@ class ActorServer(socketserver.TCPServer):
     def __init__(self, actor: LocalActor, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _CallHandler)
         self.actor = actor
-        self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -656,28 +676,6 @@ class ActorServer(socketserver.TCPServer):
     def handle_error(self, request, client_address) -> None:
         # One bad connection must not stop the actor.
         logger.exception("actor %s dropping a connection", self.actor.dataset.actor_id)
-
-    def start(self) -> None:
-        # A 0.2 s poll bounds how long stop() waits for an idle server.
-        self._thread = threading.Thread(
-            target=self.serve_forever, args=(0.2,), daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        # shutdown() would wait forever on a server that was never started.
-        if self._thread is not None:
-            self.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.server_close()
-
-    def __enter__(self) -> "ActorServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 def run_campaign(
@@ -695,8 +693,8 @@ def run_campaign(
     The coordinator's noise baseline is handed to the transport as its
     own share of the call: the socket transport trains it while the
     actors train theirs. A failing noise baseline therefore raises its
-    ``CampaignError`` even when every actor declined as well. When every
-    actor declined or timed out, the ``CampaignError`` carries the log.
+    ``CampaignError``, with no log, even when every actor declined as well.
+    Any other failure raises a ``CampaignError`` that carries the log.
 
     Timeouts and unreachable endpoints count as declines. The result is a
     pure function of (metric, actor membership, hyper, seeds): per-actor
@@ -731,18 +729,18 @@ def run_campaign(
             log["timeouts"].append({"peer": outcome.peer, "detail": outcome.detail})
             continue
         if reply.call_id != call.call_id:
-            raise CampaignError(f"reply from {outcome.peer} answers a different call")
+            raise CampaignError(f"reply from {outcome.peer} answers a different call", log)
         if reply.actor_id in claimed:
             raise CampaignError(
                 f"reply from {outcome.peer} names actor {reply.actor_id!r}, "
-                "which another reply or the noise baseline already uses"
+                "which another reply or the noise baseline already uses",
+                log,
             )
         claimed.add(reply.actor_id)
         if isinstance(reply, UncertaintyResponse):
             responses.append(reply)
         else:
-            log["declines"].append(reply.actor_id)
-    log["declines"].sort()
+            insort(log["declines"], reply.actor_id)
     if not responses:
         raise CampaignError("every actor declined or timed out; nothing to rank", log)
 

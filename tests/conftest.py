@@ -1,4 +1,5 @@
-"""Session fixtures for the acceptance suite.
+"""Session fixtures for the acceptance suite, and a helper that serves an
+actor on a thread for the socket tests.
 
 Training ten four-actor campaigns dominates the cost of the whole test
 run, so each fleet (and its centralised counterpart) is built once per
@@ -7,8 +8,11 @@ session and shared by every criterion that consumes it.
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from chaincontrib.dataset import (
 )
 from chaincontrib.ensemble import EnsembleHyper
 from chaincontrib.protocol import (
+    ActorServer,
     ContributionRanking,
     InProcessTransport,
     LocalActor,
@@ -31,6 +36,24 @@ from chaincontrib.protocol import (
     derive_seed,
     run_campaign,
 )
+
+@contextmanager
+def serving(actor: LocalActor) -> Iterator[ActorServer]:
+    """An ActorServer for ``actor``, serving on a thread inside the block.
+
+    It runs ``serve_forever`` as the ``actor`` command does; leaving the
+    block calls ``shutdown()``, then ``server_close()``.
+    """
+    with ActorServer(actor) as server:
+        # A short poll keeps shutdown() quick.
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            thread.join(timeout=5.0)
+
 
 # Benchmark fixture: four actors with well separated signal weights plus
 # the coordinator's noise baseline. Sized so the weakest actor (under 2%

@@ -11,6 +11,7 @@ import json
 import math
 import statistics
 import time
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     FLEET_HYPER,
     FLEET_ROWS,
     Fleet,
+    serving,
 )
 from chaincontrib.baseline import exact_shapley, kernel_shap
 from chaincontrib.cli import main
@@ -42,7 +44,6 @@ from chaincontrib.ensemble import (
 )
 from chaincontrib.evaluation import build_comparison, kendall_tau
 from chaincontrib.protocol import (
-    ActorServer,
     CallForUncertainty,
     Decline,
     InProcessTransport,
@@ -350,23 +351,20 @@ def test_criterion_8_round_trip_and_transport_parity() -> None:
     )
     decliner = datasets[-1].actor_id
 
-    servers = [
-        ActorServer(
-            LocalActor(dataset=ds, base_seed=5, always_decline=ds.actor_id == decliner)
-        )
-        for ds in datasets
-    ]
-    try:
-        for server in servers:
-            server.start()
+    with ExitStack() as stack:
+        servers = [
+            stack.enter_context(
+                serving(
+                    LocalActor(dataset=ds, base_seed=5, always_decline=ds.actor_id == decliner)
+                )
+            )
+            for ds in datasets
+        ]
         transport = SocketTransport([server.address for server in servers])
         socket_ranking, campaign_log = run_campaign(
             transport, metric, transform, hyper, 5
         )
         transcript = list(transport.transcript)
-    finally:
-        for server in servers:
-            server.stop()
 
     scalar_frames: dict[str, int] = {}
     decline_frames: dict[str, int] = {}

@@ -450,6 +450,16 @@ def test_ingest_blank_setpoint_companion_drops_the_row(tmp_path, capsys) -> None
     assert metric.values.tolist() == [i / 10.0 for i in (0, 1, 3, 4, 6, 7)]
 
 
+def test_ingest_infinite_feature_cell_exits_two_unwritten(tmp_path, capsys) -> None:
+    path = ingest_config(tmp_path)
+    raw = tmp_path / "raw.csv"
+    raw.write_text(raw.read_text().replace("p03,3.0,", "p03,inf,"))
+    assert run("ingest", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "infinite" in err
+    assert not (tmp_path / "run" / "data").exists()
+
+
 # ------------------------------------------------------------- decentralised
 
 
@@ -551,6 +561,27 @@ def test_failed_campaign_writes_its_log(tmp_path, capsys, transport) -> None:
     log = json.loads((out / "campaign_log.json").read_text())
     assert log["declines"] == ["actor-1", "actor-2", "actor-3"]
     assert log["timeouts"] == [] and log["responses"] == []
+    assert set(log) == {"call_id", "transformed", "responses", "declines", "timeouts"}
+    assert not (out / "ranking.csv").exists()
+
+
+def edit_manifest(data: Path, index: int, **fields) -> None:
+    """Replace fields of the manifest's ``index``-th entry with raw JSON values."""
+    path = data / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["actors"][index].update(fields)
+    path.write_text(json.dumps(manifest))
+
+
+def test_reply_reusing_an_actor_id_writes_the_log(tmp_path, capsys) -> None:
+    path = write_config(tmp_path)
+    synth_then(tmp_path, path)
+    # actor-2's file is served under actor-1's id, so two actors reply as actor-1.
+    edit_manifest(tmp_path / "run" / "data", 1, actor_id="actor-1")
+    assert run("run-decentralised", "--config", str(path)) == 3
+    assert "names actor 'actor-1'" in capsys.readouterr().err
+    out = tmp_path / "run" / "decentralised"
+    log = json.loads((out / "campaign_log.json").read_text())
     assert set(log) == {"call_id", "transformed", "responses", "declines", "timeouts"}
     assert not (out / "ranking.csv").exists()
 
@@ -688,6 +719,42 @@ def test_corrupt_actor_file_exits_two_in_process_and_three_over_sockets(tmp_path
     # Over sockets only actor-2's own process reads the file; it dies
     # before reporting an address, so the campaign fails.
     assert run("run-decentralised", "--config", str(socket_config(tmp_path, path))) == 3
+
+
+def test_infinite_feature_cell_exits_two_in_process_and_three_over_sockets(
+    tmp_path, capsys
+) -> None:
+    path = write_config(tmp_path)
+    synth_then(tmp_path, path)
+    actor_csv = tmp_path / "run" / "data" / "actor-1.csv"
+    header, first, *rest = actor_csv.read_text().splitlines(keepends=True)
+    cells = first.split(",")
+    cells[1] = "inf"
+    actor_csv.write_text("".join([header, ",".join(cells), *rest]))
+    capsys.readouterr()
+    for command in ("run-decentralised", "run-central"):
+        assert run(command, "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "infinite" in err
+    assert run("run-decentralised", "--config", str(socket_config(tmp_path, path))) == 3
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("actor_id", 7), ("actor_id", "../actor-2"), ("shared_flags", ["false"] * 3)],
+    ids=["integer-id", "path-id", "string-flags"],
+)
+def test_manifest_entry_that_save_would_not_write_exits_two(
+    tmp_path, capsys, field, value
+) -> None:
+    path = write_config(tmp_path)
+    synth_then(tmp_path, path)
+    edit_manifest(tmp_path / "run" / "data", 1, **{field: value})
+    capsys.readouterr()
+    for command in ("run-decentralised", "run-central"):
+        assert run(command, "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "manifest.json" in err
 
 
 def test_silent_socket_actor_exits_three_and_leaves_no_child(

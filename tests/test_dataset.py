@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import json
 import math
 from unittest import mock
 
@@ -26,6 +27,7 @@ from chaincontrib.dataset import (
     build_metric_series,
     clean_measurements,
     generate_synthetic,
+    list_actor_ids,
     load_actor_dataset,
     load_actor_datasets,
     load_csv,
@@ -97,11 +99,7 @@ class TestLoadCsv:
         text = "part_id,a,b\r\nP1,1.5,\r\nP2,NaN,-2\r\n"
         plain = load_csv(write(tmp_path / "plain.csv", text), id_column="part_id")
         marked = load_csv(write(tmp_path / "bom.csv", "\ufeff" + text), id_column="part_id")
-        assert (marked.id_column, marked.ids, marked.columns) == (
-            plain.id_column,
-            plain.ids,
-            plain.columns,
-        )
+        assert (marked.ids, marked.columns) == (plain.ids, plain.columns)
         np.testing.assert_array_equal(marked.values, plain.values)
 
 
@@ -280,7 +278,6 @@ class TestWriteCsv:
 class TestRawTableSelect:
     def make_table(self):
         return RawTable(
-            id_column="id",
             ids=("P0", "P1", "P2"),
             columns=("a", "b", "c"),
             values=np.arange(9.0).reshape(3, 3),
@@ -295,7 +292,6 @@ class TestRawTableSelect:
     def test_mask_keeps_rows_in_order(self):
         table = self.make_table().select(["b"], np.array([True, False, True]))
         assert table.ids == ("P0", "P2")
-        assert table.id_column == "id"
         np.testing.assert_array_equal(table.values, [[1.0], [7.0]])
 
     def test_no_columns_keeps_the_rows(self):
@@ -313,7 +309,7 @@ class TestCleanMeasurements:
         values = np.asarray(values, dtype=float)
         columns = tuple(columns or (f"m{i}" for i in range(values.shape[1])))
         ids = tuple(f"P{i}" for i in range(values.shape[0]))
-        return RawTable(id_column="id", ids=ids, columns=columns, values=values)
+        return RawTable(ids=ids, columns=columns, values=values)
 
     def test_mostly_missing_column_is_removed(self):
         # 12780 of 14000 missing is far beyond the 0.5 threshold.
@@ -459,7 +455,6 @@ class TestAggregateQuality:
 class TestBuildMetricSeries:
     def test_perfect_observations_give_zero_series(self):
         table = RawTable(
-            id_column="id",
             ids=("P1", "P2"),
             columns=("m0", "m1"),
             values=np.array([[2.0, 3.0], [2.0, 3.0]]),
@@ -470,7 +465,6 @@ class TestBuildMetricSeries:
 
     def test_single_observation_hand_value(self):
         table = RawTable(
-            id_column="id",
             ids=("P1",),
             columns=("m0", "m1"),
             values=np.array([[1.1, 0.9]]),
@@ -481,7 +475,6 @@ class TestBuildMetricSeries:
 
     def test_setpoint_companion_columns(self):
         table = RawTable(
-            id_column="id",
             ids=("P1",),
             columns=("m0", "m0.Setpoint"),
             values=np.array([[3.0, 1.0]]),
@@ -491,7 +484,6 @@ class TestBuildMetricSeries:
 
     def test_missing_measurement_violates_cleaning_contract(self):
         table = RawTable(
-            id_column="id",
             ids=("P1",),
             columns=("m0",),
             values=np.array([[np.nan]]),
@@ -500,21 +492,17 @@ class TestBuildMetricSeries:
             build_metric_series(table, ["m0"], {"m0": 1.0})
 
     def test_empty_table_rejected(self):
-        table = RawTable(id_column="id", ids=(), columns=("m0",), values=np.empty((0, 1)))
+        table = RawTable(ids=(), columns=("m0",), values=np.empty((0, 1)))
         with pytest.raises(ValueError, match="empty"):
             build_metric_series(table, ["m0"], {"m0": 1.0})
 
     def test_missing_companion_column_rejected(self):
-        table = RawTable(
-            id_column="id", ids=("P1",), columns=("m0",), values=np.array([[1.0]])
-        )
+        table = RawTable(ids=("P1",), columns=("m0",), values=np.array([[1.0]]))
         with pytest.raises(ValueError, match=r"m0\.Setpoint"):
             build_metric_series(table, ["m0"], setpoints=None)
 
     def test_missing_setpoint_entry_rejected(self):
-        table = RawTable(
-            id_column="id", ids=("P1",), columns=("m0",), values=np.array([[1.0]])
-        )
+        table = RawTable(ids=("P1",), columns=("m0",), values=np.array([[1.0]]))
         with pytest.raises(ValueError, match="m0"):
             build_metric_series(table, ["m0"], {})
 
@@ -537,7 +525,6 @@ class TestBuildMetricSeries:
         else:
             setpoints = dict(zip(names, targets.tolist()))
         table = RawTable(
-            id_column="id",
             ids=tuple(f"P{i}" for i in range(n)),
             columns=tuple(columns),
             values=np.column_stack(blocks),
@@ -552,16 +539,13 @@ class TestBuildMetricSeries:
 
     @pytest.mark.parametrize("bad", [0.0, -2.0])
     def test_non_positive_mapped_setpoint_rejected(self, bad):
-        table = RawTable(
-            id_column="id", ids=("P1", "P2"), columns=("m0", "m1"), values=np.ones((2, 2))
-        )
+        table = RawTable(ids=("P1", "P2"), columns=("m0", "m1"), values=np.ones((2, 2)))
         with pytest.raises(ValueError, match="strictly positive"):
             build_metric_series(table, ["m0", "m1"], {"m0": 1.0, "m1": bad})
 
     @pytest.mark.parametrize("bad", [0.0, -2.0])
     def test_non_positive_companion_setpoint_rejected(self, bad):
         table = RawTable(
-            id_column="id",
             ids=("P1", "P2"),
             columns=("m0", "m0.Setpoint"),
             values=np.array([[1.0, 1.0], [1.0, bad]]),
@@ -595,7 +579,6 @@ class TestPartitionActors:
         rng = np.random.default_rng(5)
         columns = ("a1", "a2", "b1", "hum", "temp")
         return RawTable(
-            id_column="id",
             ids=tuple(f"P{i}" for i in range(7)),
             columns=columns,
             values=rng.normal(size=(7, 5)),
@@ -655,7 +638,7 @@ class TestPartitionActors:
     def test_missing_values_rejected(self):
         values = np.ones((2, 1))
         values[0, 0] = np.nan
-        table = RawTable(id_column="id", ids=("P1", "P2"), columns=("a",), values=values)
+        table = RawTable(ids=("P1", "P2"), columns=("a",), values=values)
         with pytest.raises(ValueError, match="clean"):
             partition_actors(table, {"a": "alpha"})
 
@@ -694,6 +677,17 @@ class TestActorDataset:
                 part_ids=("P1",),
                 columns=("x",),
                 features=np.array([[np.nan]]),
+                shared_flags=(False,),
+            )
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_feature_values_rejected(self, value):
+        with pytest.raises(ValueError, match="infinite"):
+            ActorDataset(
+                actor_id="a",
+                part_ids=("P1", "P2"),
+                columns=("x",),
+                features=np.array([[1.0], [value]]),
                 shared_flags=(False,),
             )
 
@@ -984,6 +978,40 @@ class TestSaveLoadActorDatasets:
         with pytest.raises(ValueError, match="bare file name"):
             load_actor_dataset(tmp_path / "data", "actor-2")
         assert load_actor_dataset(tmp_path / "data", "actor-1").actor_id == "actor-1"
+
+    def edit_manifest(self, in_dir, actor, **fields):
+        """Replace fields of one actor's manifest entry with raw JSON values."""
+        path = in_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["actors"]:
+            if entry["actor_id"] == actor:
+                entry.update(fields)
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_load_refuses_a_shared_flag_that_is_not_a_boolean(self, tmp_path, flag):
+        self.save_two_actors(tmp_path)
+        self.edit_manifest(tmp_path, "actor-2", shared_flags=[flag, False])
+        with pytest.raises(ParseError, match="shared_flags must be true or false"):
+            load_actor_datasets(tmp_path)
+        with pytest.raises(ParseError, match="shared_flags must be true or false"):
+            load_actor_dataset(tmp_path, "actor-2")
+
+    @pytest.mark.parametrize("actor_id", [7, None, ["actor-2"], "../x", ""])
+    def test_manifest_actor_id_must_be_a_bare_file_name(self, tmp_path, actor_id):
+        self.save_two_actors(tmp_path)
+        self.edit_manifest(tmp_path, "actor-2", actor_id=actor_id)
+        for read in (list_actor_ids, load_actor_datasets):
+            with pytest.raises(ParseError, match="manifest.json: actor_id must be"):
+                read(tmp_path)
+        with pytest.raises(ParseError, match="manifest.json: actor_id must be"):
+            load_actor_dataset(tmp_path, "actor-1")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"actors": 5}', '{"actors": [5]}'])
+    def test_manifest_of_another_shape_is_a_parse_error(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ParseError, match="manifest.json"):
+            list_actor_ids(tmp_path)
 
     def test_unknown_actor_names_the_ones_found(self, tmp_path):
         self.save_two_actors(tmp_path)

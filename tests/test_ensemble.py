@@ -514,11 +514,20 @@ def make_actor_data(seed=0, rows=200, c=2.0):
 
 
 class TestTrainEnsemble:
+    def test_default_hyper_needs_319_aligned_rows(self):
+        # As the README states: 2 x batch_size training rows must remain
+        # after the validation split, so 319 aligned rows at the defaults.
+        hyper = dataclasses.replace(EnsembleHyper(), max_epochs=1)
+        x, y = constant_target_data(rows=319)
+        assert len(train_ensemble(x, y, hyper, base_seed=0).members) == 5
+        with pytest.raises(ValueError, match="need at least 2 x batch_size = 256"):
+            train_ensemble(x[:318], y[:318], hyper, base_seed=0)
+
     def test_members_have_distinct_seeds_and_shared_normaliser(self):
         dataset, metric = make_actor_data()
         ensemble = train_ensemble(*dataset.align(metric)[:2], SMALL_HYPER, base_seed=100)
         assert [m.rng_seed for m in ensemble.members] == [100, 101]
-        assert ensemble.member_count == 2
+        assert len(ensemble.members) == 2
         assert len(ensemble.training_log) == 2
         # Validation rows are the chronological tail of the aligned join.
         assert np.array_equal(ensemble.validation_rows, dataset.features[-40:])

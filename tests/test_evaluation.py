@@ -338,7 +338,6 @@ def test_report_validates_aligned_endpoints() -> None:
             kendall=0.0,
             spearman=0.0,
             noise_contrast=math.nan,
-            noise_actor_id=None,
         )
 
 

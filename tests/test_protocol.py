@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import serving
 from chaincontrib import protocol
 from chaincontrib.dataset import (
     NOISE_ACTOR_ID,
@@ -28,7 +29,6 @@ from chaincontrib.dataset import (
 from chaincontrib.ensemble import EnsembleHyper
 from chaincontrib.protocol import (
     ActorOutcome,
-    ActorServer,
     CallForUncertainty,
     CampaignError,
     ContributionRanking,
@@ -135,6 +135,20 @@ NON_NUMBER_FRAMES = {
     "boolean-learning-rate": call_frame_with_hyper(learning_rate=True),
     "boolean-dropout-rate": call_frame_with_hyper(dropout_rate=False),
     "string-validation-fraction": call_frame_with_hyper(validation_fraction="0.2"),
+    "string-metric-value": frame_with(example_call(), values=["1.5", 0.5, 1.0]),
+    "boolean-metric-value": frame_with(example_call(), values=[0.1, True, 1.0]),
+    "metric-values-not-a-list": frame_with(example_call(), values={"P0": 0.1}),
+}
+
+# Id fields of each kind of frame that hold something other than a JSON string.
+NON_TEXT_FRAMES = {
+    "integer-part-id": frame_with(example_call(), part_ids=[1, "P1", "P2"]),
+    "null-part-id": frame_with(example_call(), part_ids=["P0", None, "P2"]),
+    "part-ids-as-one-string": frame_with(example_call(), part_ids="abc"),
+    "integer-call-id": frame_with(example_call(), call_id=1),
+    "object-call-id": frame_with(ALPHA_REPLY, call_id={"a": 1}),
+    "null-actor-id": frame_with(ALPHA_REPLY, actor_id=None),
+    "integer-actor-id-in-a-decline": frame_with(Decline("beta", "call-000001"), actor_id=7),
 }
 
 
@@ -288,6 +302,12 @@ class TestCodec:
 
     @pytest.mark.parametrize("frame", NON_NUMBER_FRAMES.values(), ids=NON_NUMBER_FRAMES.keys())
     def test_float_field_must_hold_a_number(self, frame):
+        with pytest.raises(DecodeError) as err:
+            decode_message(frame)
+        assert err.value.reason == "malformed"
+
+    @pytest.mark.parametrize("frame", NON_TEXT_FRAMES.values(), ids=NON_TEXT_FRAMES.keys())
+    def test_id_field_must_hold_a_string(self, frame):
         with pytest.raises(DecodeError) as err:
             decode_message(frame)
         assert err.value.reason == "malformed"
@@ -772,6 +792,39 @@ class TestInProcessCampaign:
         with pytest.raises(CampaignError, match="different call"):
             run_campaign(StaleTransport(), small_metric(), None, FAST_HYPER, base_seed=1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Decline("omega", "call-999999"),
+            UncertaintyResponse("beta", protocol.CALL_ID, 0.7),
+            Decline(NOISE_ACTOR_ID, protocol.CALL_ID),
+        ],
+        ids=["another-call", "reused-actor-id", "noise-actor-id"],
+    )
+    def test_failing_reply_carries_the_log_read_so_far(self, bad):
+        outcomes = [
+            ActorOutcome(peer="p1", message=Decline("zeta", protocol.CALL_ID)),
+            ActorOutcome(peer="p2", message=None, detail="timed out"),
+            ActorOutcome(peer="p3", message=Decline("alpha", protocol.CALL_ID)),
+            ActorOutcome(peer="p4", message=UncertaintyResponse("beta", protocol.CALL_ID, 0.5)),
+            ActorOutcome(peer="p5", message=bad),
+        ]
+
+        class FakeTransport:
+            def request(self, call, local):
+                return outcomes, None
+
+        with pytest.raises(CampaignError, match="reply from p5") as err:
+            run_campaign(FakeTransport(), small_metric(), None, FAST_HYPER, base_seed=1)
+        # The keys of the log of a campaign that every actor declined.
+        assert err.value.log == {
+            "call_id": protocol.CALL_ID,
+            "transformed": False,
+            "responses": [],
+            "declines": ["alpha", "zeta"],
+            "timeouts": [{"peer": "p2", "detail": "timed out"}],
+        }
+
     def test_two_actors_answering_as_one_fail_the_campaign(self):
         datasets, metric = synth_actors(seed=2)
         twins = InProcessTransport(
@@ -921,7 +974,7 @@ def test_noise_failure_outranks_declines(route):
         else:
             servers = [
                 stack.enter_context(
-                    ActorServer(LocalActor(dataset=d, base_seed=1, always_decline=True))
+                    serving(LocalActor(dataset=d, base_seed=1, always_decline=True))
                 )
                 for d in datasets
             ]
@@ -954,7 +1007,7 @@ def test_hostile_reply_counts_as_a_timeout(route):
             )
             transport = InProcessTransport([honest, liar])
         else:
-            server = stack.enter_context(ActorServer(honest))
+            server = stack.enter_context(serving(honest))
             listener = stack.enter_context(socket.create_server(("127.0.0.1", 0)))
             peer = threading.Thread(target=reply_once, args=(listener, hostile), daemon=True)
             peer.start()
@@ -978,17 +1031,15 @@ class TestSocketTransport:
         expected, _ = run_campaign(
             in_process, metric, None, FAST_HYPER, base_seed=6, noise_feature_count=2
         )
-        servers = [ActorServer(LocalActor(dataset=d, base_seed=6)) for d in datasets]
-        try:
-            for server in servers:
-                server.start()
+        with ExitStack() as stack:
+            servers = [
+                stack.enter_context(serving(LocalActor(dataset=d, base_seed=6)))
+                for d in datasets
+            ]
             transport = SocketTransport([s.address for s in servers])
             got, _ = run_campaign(
                 transport, metric, None, FAST_HYPER, base_seed=6, noise_feature_count=2
             )
-        finally:
-            for server in servers:
-                server.stop()
         assert got == expected
 
     def test_declines_are_listed_by_actor_id_on_both_transports(self):
@@ -1010,10 +1061,8 @@ class TestSocketTransport:
         for _ in range(4):
             # Fresh ports each round; bound last to first, so that their
             # order, if it leaked into the log, would be against the ids.
-            servers = [ActorServer(actor) for actor in reversed(actors())]
             with ExitStack() as stack:
-                for server in servers:
-                    stack.enter_context(server)
+                servers = [stack.enter_context(serving(actor)) for actor in reversed(actors())]
                 transport = SocketTransport([s.address for s in reversed(servers)])
                 _, log = run_campaign(
                     transport, metric, None, FAST_HYPER, base_seed=6,
@@ -1023,17 +1072,15 @@ class TestSocketTransport:
 
     def test_socket_transcript_one_scalar_per_actor(self):
         datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
-        servers = [ActorServer(LocalActor(dataset=d, base_seed=6)) for d in datasets]
-        try:
-            for server in servers:
-                server.start()
+        with ExitStack() as stack:
+            servers = [
+                stack.enter_context(serving(LocalActor(dataset=d, base_seed=6)))
+                for d in datasets
+            ]
             transport = SocketTransport([s.address for s in servers])
             run_campaign(
                 transport, metric, None, FAST_HYPER, base_seed=6, noise_feature_count=2
             )
-        finally:
-            for server in servers:
-                server.stop()
         received = [t for t in transport.transcript if t.direction == "received"]
         assert len(received) == len(datasets)
         for entry in received:
@@ -1043,14 +1090,12 @@ class TestSocketTransport:
 
     def test_unreachable_endpoint_counts_as_timeout(self):
         datasets, metric = synth_actors(seed=8, weights=(3.0, 1.0))
-        server = ActorServer(LocalActor(dataset=datasets[0], base_seed=6))
         # Reserve a port with no listener behind it.
         placeholder = socket.socket()
         placeholder.bind(("127.0.0.1", 0))
         dead_address = placeholder.getsockname()
         placeholder.close()
-        try:
-            server.start()
+        with serving(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             transport = SocketTransport([server.address, dead_address])
             ranking, log = run_campaign(
                 transport,
@@ -1061,14 +1106,12 @@ class TestSocketTransport:
                 deadline=5.0,
                 noise_feature_count=2,
             )
-        finally:
-            server.stop()
         assert datasets[0].actor_id in ranking.actor_order()
         assert len(log["timeouts"]) == 1
 
     def test_server_ignores_garbage_frames(self):
         datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
-        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+        with serving(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             with socket.create_connection(server.address, timeout=5.0) as conn:
                 conn.sendall(b"this is not a frame\n")
                 with conn.makefile("rb") as stream:
@@ -1100,7 +1143,7 @@ class TestSocketTransport:
             b"\n",
             b"null\n",
         ]
-        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+        with serving(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             # One connection at a time: each frame is dropped without a reply.
             assert [self.ask(server, frame) for frame in garbage] == [b""] * len(garbage)
             reply = decode_message(self.ask(server, encode_message(example_call())))
@@ -1109,7 +1152,7 @@ class TestSocketTransport:
     @pytest.mark.parametrize("hyper", BAD_HYPER, ids=lambda h: next(iter(h)))
     def test_server_survives_invalid_hyper(self, hyper):
         datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
-        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+        with serving(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             assert self.ask(server, call_frame_with_hyper(**hyper)) == b""
             # A valid call is still answered: no overlap, so a decline.
             reply = decode_message(self.ask(server, encode_message(example_call())))
@@ -1125,7 +1168,7 @@ class TestSocketTransport:
         # a decline, once training starts.
         monkeypatch.setattr(protocol, "train_ensemble", broken_training)
         call = CallForUncertainty("call-000001", metric, FAST_HYPER, 30.0)
-        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+        with serving(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             assert self.ask(server, encode_message(call)) == b""
             reply = decode_message(self.ask(server, encode_message(example_call())))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
@@ -1135,7 +1178,7 @@ class TestSocketTransport:
         frame = encode_message(example_call())
         # Valid JSON if read whole: the padding is whitespace.
         oversized = frame[:-1] + b" " * protocol.MAX_FRAME_BYTES + b"\n"
-        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+        with serving(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             try:
                 assert self.ask(server, oversized) == b""
             except (ConnectionResetError, BrokenPipeError):
@@ -1147,7 +1190,7 @@ class TestSocketTransport:
     def test_server_drops_unterminated_frame(self):
         datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
         frame = encode_message(example_call())
-        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+        with serving(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             with socket.create_connection(server.address, timeout=5.0) as conn:
                 conn.sendall(frame[:-1])
                 conn.shutdown(socket.SHUT_WR)
@@ -1156,10 +1199,27 @@ class TestSocketTransport:
             reply = decode_message(self.ask(server, frame))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
 
+    @pytest.mark.parametrize("name", ["object-call-id", "null-actor-id"])
+    def test_reply_with_a_non_text_id_counts_as_a_timeout(self, name):
+        listener = socket.create_server(("127.0.0.1", 0))
+        peer = threading.Thread(
+            target=reply_once, args=(listener, NON_TEXT_FRAMES[name]), daemon=True
+        )
+        peer.start()
+        try:
+            transport = SocketTransport([listener.getsockname()[:2]])
+            [outcome], _ = transport.request(example_call(), lambda: None)
+        finally:
+            peer.join(timeout=10.0)
+            listener.close()
+        assert not peer.is_alive()
+        assert outcome.message is None
+        assert outcome.detail.startswith("malformed")
+
     def test_longest_deadline_is_a_valid_socket_timeout(self):
         datasets, _ = synth_actors(seed=8, weights=(3.0, 1.0))
         actor = LocalActor(dataset=datasets[0], base_seed=6, always_decline=True)
-        with ActorServer(actor) as server:
+        with serving(actor) as server:
             transport = SocketTransport([server.address])
             call = example_call(deadline=threading.TIMEOUT_MAX)
             (outcome,), _ = transport.request(call, lambda: None)
@@ -1173,7 +1233,7 @@ class TestSocketTransport:
         with ExitStack() as stack:
             servers = [
                 stack.enter_context(
-                    ActorServer(LocalActor(dataset=datasets[0], base_seed=6, always_decline=True))
+                    serving(LocalActor(dataset=datasets[0], base_seed=6, always_decline=True))
                 )
                 for _ in range(8)
             ]
@@ -1244,7 +1304,7 @@ class TestSocketTransport:
         peer.start()
         deadline = 2.0
         try:
-            with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as honest:
+            with serving(LocalActor(dataset=datasets[0], base_seed=6)) as honest:
                 transport = SocketTransport([honest.address, listener.getsockname()[:2]])
                 start = time.monotonic()
                 ranking, log = run_campaign(
@@ -1285,7 +1345,7 @@ class TestSocketTransport:
             except OSError:
                 pass  # the server hung up
 
-        with ActorServer(LocalActor(dataset=datasets[0], base_seed=6)) as server:
+        with serving(LocalActor(dataset=datasets[0], base_seed=6)) as server:
             with socket.create_connection(server.address, timeout=5.0) as slow:
                 slow.sendall(frame[:1])
                 peer = threading.Thread(target=dribble, args=(slow,), daemon=True)
