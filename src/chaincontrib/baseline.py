@@ -30,6 +30,8 @@ from chaincontrib.ensemble import (
     train_member,
 )
 
+DEFAULT_SAMPLE_COUNT = 2048
+DEFAULT_BACKGROUND_SIZE = 100
 # Columns observable by every actor are attributed to this pseudo-actor
 # instead of being double-counted.
 SHARED_ACTOR_ID = "shared"
@@ -305,7 +307,7 @@ def kernel_shap(
     fn: Callable[[np.ndarray], np.ndarray],
     instance: np.ndarray,
     background: np.ndarray,
-    sample_count: int = 2048,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
 ) -> np.ndarray:
     """Per-feature attribution of fn(instance) - fn(background mean), where
@@ -387,9 +389,9 @@ ADDITIVITY_TOLERANCE = 1e-3
 
 def explain_central(
     model: CentralModel,
-    sample_count: int = 2048,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
-    background_size: int = 100,
+    background_size: int = DEFAULT_BACKGROUND_SIZE,
     max_instances: int | None = None,
 ) -> ShapReport:
     """Attribute the model's validation-split predictions feature by feature.

@@ -9,10 +9,10 @@ rejected before any computation starts. The --seed,
 --transport and --out flags replace the matching top-level values
 before the config is parsed, so ``synth`` follows --seed too.
 
-Both routes see the same set-up: the campaign rescales the metric to
-zero mean and unit spread with an affine map the actors never see, and
-``run-central`` pools the same noise actor that the campaign ranks as
-its floor, so ``compare`` can follow ``run-central`` directly.
+Both routes see one set-up, owned by ``protocol``: the campaign rescales
+the metric with ``MetricTransform.unit_spread``, and both routes get
+their noise actor from ``protocol.noise_actor``, so ``run-central`` pools
+the actor the campaign ranks as its floor and ``compare`` can follow it.
 
 Exit codes: 0 success, 2 config or validation failure, 3 campaign
 failure (every actor declined, unreachable endpoints, wire errors).
@@ -35,6 +35,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from chaincontrib.baseline import (
+    DEFAULT_BACKGROUND_SIZE,
+    DEFAULT_SAMPLE_COUNT,
     explain_central,
     pooled_width,
     read_shap_summary,
@@ -43,7 +45,7 @@ from chaincontrib.baseline import (
     write_shap_csvs,
 )
 from chaincontrib.dataset import (
-    NOISE_ACTOR_ID,
+    DEFAULT_MISSING_THRESHOLD,
     ActorDataset,
     MetricSeries,
     ParseError,
@@ -55,7 +57,6 @@ from chaincontrib.dataset import (
     load_actor_dataset,
     load_actor_datasets,
     load_csv,
-    make_noise_actor,
     partition_actors,
     require_file_name,
     require_int,
@@ -66,8 +67,10 @@ from chaincontrib.dataset import (
 from chaincontrib.ensemble import EnsembleHyper
 from chaincontrib.evaluation import build_comparison, emit_report
 from chaincontrib.protocol import (
+    DEFAULT_DEADLINE,
     DEFAULT_MIN_OVERLAP,
     DEFAULT_NOISE_FEATURES,
+    DEFAULT_SLACK,
     ActorServer,
     CampaignError,
     ContributionRanking,
@@ -76,7 +79,7 @@ from chaincontrib.protocol import (
     LocalActor,
     MetricTransform,
     SocketTransport,
-    derive_seed,
+    noise_actor,
     require_deadline,
     run_campaign,
 )
@@ -137,7 +140,7 @@ class DataConfig:
     shared_columns: tuple[str, ...] = ()
     measurement_columns: tuple[str, ...] = ()
     setpoints: dict[str, float] | None = None
-    column_missing_threshold: float = 0.5
+    column_missing_threshold: float = DEFAULT_MISSING_THRESHOLD
     actor_dir: Path | None = None
     metric_csv: Path | None = None
 
@@ -172,9 +175,9 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    deadline: float = 120.0
+    deadline: float = DEFAULT_DEADLINE
     noise_feature_count: int = DEFAULT_NOISE_FEATURES
-    slack: float = 1.0
+    slack: float = DEFAULT_SLACK
     min_overlap: int = DEFAULT_MIN_OVERLAP
 
     def __post_init__(self) -> None:
@@ -185,8 +188,8 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CentralConfig:
-    sample_count: int = 2048
-    background_size: int = 100
+    sample_count: int = DEFAULT_SAMPLE_COUNT
+    background_size: int = DEFAULT_BACKGROUND_SIZE
     max_instances: int | None = None
 
     def __post_init__(self) -> None:
@@ -247,20 +250,6 @@ SECTIONS = {
     "central": CentralConfig,
     "compare": CompareConfig,
 }
-
-
-def _unit_spread_transform(metric: MetricSeries) -> MetricTransform:
-    """The affine map that gives the metric zero mean and unit spread.
-
-    Rescaling keeps the reported uncertainties on a comparable scale
-    regardless of the metric's units, which the small per-actor networks
-    need to train reliably; the actors never see the map itself.
-    """
-    spread = float(np.std(metric.values))
-    center = float(np.mean(metric.values))
-    if spread == 0.0:
-        raise ConfigError("metric is constant; nothing to estimate")
-    return MetricTransform(scale=1.0 / spread, offset=-center / spread)
 
 
 def parse_config(raw: Mapping, args: argparse.Namespace | None = None) -> RunConfig:
@@ -434,7 +423,7 @@ def cmd_run_decentralised(config: RunConfig) -> int:
     for path in (ranking_path, log_path):
         path.unlink(missing_ok=True)
     metric = MetricSeries.from_csv(config.metric_path)
-    transform = _unit_spread_transform(metric)
+    transform = MetricTransform.unit_spread(metric)
     out.mkdir(parents=True, exist_ok=True)
     cc = config.campaign
 
@@ -494,16 +483,8 @@ def cmd_run_decentralised(config: RunConfig) -> int:
 def cmd_run_central(config: RunConfig) -> int:
     datasets = load_actor_datasets(config.actor_dir)
     metric = MetricSeries.from_csv(config.metric_path)
-    # Mirror the campaign's noise reference so both estimation routes
-    # cover the same actor set: same seed derivation, same shape.
-    datasets.append(
-        make_noise_actor(
-            row_count=len(metric),
-            feature_count=config.campaign.noise_feature_count,
-            part_ids=metric.part_ids,
-            seed=derive_seed(config.seed, NOISE_ACTOR_ID),
-        )
-    )
+    # The campaign's noise reference, so both routes cover one actor set.
+    datasets.append(noise_actor(metric, config.seed, config.campaign.noise_feature_count))
     # The attribution budget depends only on the pooled width: refuse a
     # too-small one before training, not after.
     require_sample_count(config.central.sample_count, pooled_width(datasets))

@@ -79,6 +79,16 @@ def require_file_name(name: str, value) -> str:
     return value
 
 
+def _first_repeat(ids: Sequence[str]) -> str | None:
+    """The first id in ``ids`` that an earlier one repeats, or None."""
+    seen: set[str] = set()
+    for name in ids:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def _parse_cell(text: str, row_index: int, column: str) -> float:
     s = text.strip()
     if s == "" or s.lower() == "nan":
@@ -183,12 +193,9 @@ def load_csv(path: str | Path, id_column: str) -> RawTable:
                     _parse_cell(cell, row_index, c) for cell, c in zip(row, columns)
                 )
 
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for part_id in ids:
-            if part_id in seen:
-                raise ParseError(f"{path}: duplicate id {part_id!r}")
-            seen.add(part_id)
+    repeated = _first_repeat(ids)
+    if repeated is not None:
+        raise ParseError(f"{path}: duplicate id {repeated!r}")
 
     values = np.asarray(cells, dtype=float).reshape(len(ids), len(columns))
     return RawTable(ids=tuple(ids), columns=columns, values=values)
@@ -264,10 +271,13 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
             )
 
 
+DEFAULT_MISSING_THRESHOLD = 0.5
+
+
 def clean_measurements(
     table: RawTable,
     measurement_columns: Sequence[str],
-    column_missing_threshold: float = 0.5,
+    column_missing_threshold: float = DEFAULT_MISSING_THRESHOLD,
 ) -> RawTable:
     """Drop unreliable measurement columns, then rows with missing targets.
 
@@ -294,55 +304,33 @@ def clean_measurements(
     return table.select([c for c in table.columns if c not in dropped], complete)
 
 
-@dataclass(frozen=True)
-class MeasurementBlock:
-    """All measurements taken during one observation.
+def aggregate_quality(actuals, setpoints) -> float:
+    """Collapse one observation's measurements into a scalar quality score.
 
     ``actuals`` has one row per measured part and one column per
     measurement type; ``setpoints`` holds the target value per type,
     either shared across parts (1-d) or given per part (same shape as
-    ``actuals``).
+    ``actuals``). The score is the sum of absolute relative deviations
+    from the setpoint over all measured values, divided by the number of
+    measurement types. Zero means every part hit its setpoints exactly;
+    the score grows linearly with the relative deviations and is never
+    negative.
     """
-
-    actuals: np.ndarray
-    setpoints: np.ndarray
-
-    def __post_init__(self) -> None:
-        actuals = np.atleast_2d(np.asarray(self.actuals, dtype=float))
-        setpoints = np.asarray(self.setpoints, dtype=float)
-        if actuals.size == 0:
-            raise ValueError("measurement block must not be empty")
-        if setpoints.ndim == 1:
-            if setpoints.shape[0] != actuals.shape[1]:
-                raise ValueError("one setpoint per measurement type required")
-        elif setpoints.shape != actuals.shape:
-            raise ValueError("per-part setpoints must match the actuals shape")
-        object.__setattr__(self, "actuals", actuals)
-        object.__setattr__(self, "setpoints", setpoints)
-
-    @property
-    def n_parts(self) -> int:
-        return self.actuals.shape[0]
-
-    @property
-    def n_measurement_types(self) -> int:
-        return self.actuals.shape[1]
-
-
-def aggregate_quality(block: MeasurementBlock) -> float:
-    """Collapse one observation's measurements into a scalar quality score.
-
-    The score is the sum of absolute relative deviations from the setpoint
-    over all measured values, divided by the number of measurement types.
-    Zero means every part hit its setpoints exactly; the score grows
-    linearly with the relative deviations and is never negative.
-    """
-    if np.any(block.setpoints <= 0):
+    actuals = np.atleast_2d(np.asarray(actuals, dtype=float))
+    setpoints = np.asarray(setpoints, dtype=float)
+    if actuals.size == 0:
+        raise ValueError("measurement block must not be empty")
+    if setpoints.ndim == 1:
+        if setpoints.shape[0] != actuals.shape[1]:
+            raise ValueError("one setpoint per measurement type required")
+    elif setpoints.shape != actuals.shape:
+        raise ValueError("per-part setpoints must match the actuals shape")
+    if np.any(setpoints <= 0):
         raise ValueError("setpoints must be strictly positive")
-    if np.any(np.isnan(block.actuals)) or np.any(np.isnan(block.setpoints)):
+    if np.any(np.isnan(actuals)) or np.any(np.isnan(setpoints)):
         raise ValueError("measurement block contains missing values")
-    deviations = np.abs(block.actuals - block.setpoints) / block.setpoints
-    return float(deviations.sum() / block.n_measurement_types)
+    deviations = np.abs(actuals - setpoints) / setpoints
+    return float(deviations.sum() / actuals.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,11 +634,14 @@ def make_noise_actor(
 def save_actor_datasets(datasets: Sequence[ActorDataset], out_dir: str | Path) -> None:
     """Write one CSV per actor plus a manifest describing shared columns.
 
-    Every actor id must be a bare file name (see ``require_file_name``);
-    nothing is written otherwise.
+    Every actor id must be a bare file name (see ``require_file_name``)
+    and name one dataset only; nothing is written otherwise.
     """
     for ds in datasets:
         require_file_name("actor id", ds.actor_id)
+    repeated = _first_repeat([ds.actor_id for ds in datasets])
+    if repeated is not None:
+        raise ValueError(f"actor id {repeated!r} names more than one dataset")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -675,7 +666,8 @@ def save_actor_datasets(datasets: Sequence[ActorDataset], out_dir: str | Path) -
 
 
 def _read_manifest(in_dir: Path) -> list[dict]:
-    """The manifest's entries; ParseError unless each actor_id is a bare file name."""
+    """The manifest's entries; ParseError unless each actor_id is a bare
+    file name that no other entry names."""
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {in_dir}")
@@ -683,24 +675,31 @@ def _read_manifest(in_dir: Path) -> list[dict]:
         manifest = json.load(fh)
     try:
         entries = manifest["actors"]
-        for entry in entries:
-            require_file_name("actor_id", entry["actor_id"])
+        ids = [require_file_name("actor_id", entry["actor_id"]) for entry in entries]
+    except KeyError as exc:
+        raise ParseError(f"{manifest_path}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{manifest_path}: {exc}") from None
+    repeated = _first_repeat(ids)
+    if repeated is not None:
+        raise ParseError(f"{manifest_path}: actor_id {repeated!r} appears more than once")
     return entries
 
 
 def _load_entry(in_dir: Path, entry: dict) -> ActorDataset:
-    """ParseError unless the entry's file is a bare file name and its flags booleans."""
+    """ParseError unless the entry has every field, its file is a bare file
+    name and its flags booleans."""
     try:
         require_file_name("file", entry["file"])
-        flags = entry["shared_flags"]
+        flags, columns = entry["shared_flags"], entry["columns"]
         if set(map(type, flags)) - {bool}:
             raise TypeError(f"shared_flags must be true or false, got {flags!r}")
+    except KeyError as exc:
+        raise ParseError(f"{in_dir / 'manifest.json'}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{in_dir / 'manifest.json'}: {exc}") from None
     table = load_csv(in_dir / entry["file"], id_column="part_id")
-    if list(table.columns) != entry["columns"]:
+    if list(table.columns) != columns:
         raise ParseError(f"{entry['file']}: columns do not match the manifest")
     return ActorDataset(
         actor_id=entry["actor_id"],

@@ -60,6 +60,8 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 DEFAULT_MIN_OVERLAP = 50
 DEFAULT_NOISE_FEATURES = 5
+DEFAULT_DEADLINE = 120.0
+DEFAULT_SLACK = 1.0
 # Longest frame either side of a socket reads. A call frame for 20 000
 # rows is about 0.7 MB. A longer frame is read only up to this size, so it
 # lacks its newline and fails to decode as truncated.
@@ -113,6 +115,17 @@ class MetricTransform:
     def __post_init__(self) -> None:
         if self.scale == 0.0:
             raise ValueError("scale must be non-zero")
+
+    @classmethod
+    def unit_spread(cls, metric: MetricSeries) -> "MetricTransform":
+        """The map to zero mean and unit spread. The small per-actor networks
+        need it to train reliably whatever the metric's units, and it keeps
+        the reported uncertainties comparable; the actors never see it."""
+        spread = float(np.std(metric.values))
+        center = float(np.mean(metric.values))
+        if spread == 0.0:
+            raise ValueError("metric is constant; nothing to estimate")
+        return cls(scale=1.0 / spread, offset=-center / spread)
 
 
 def apply_transform(series: MetricSeries, transform: MetricTransform) -> MetricSeries:
@@ -327,19 +340,30 @@ def handle_call(
     )
 
 
+def noise_actor(
+    metric: MetricSeries, base_seed: int, feature_count: int = DEFAULT_NOISE_FEATURES
+) -> ActorDataset:
+    """The noise reference on ``metric``'s parts: the actor the campaign
+    ranks as its floor and ``run-central`` pools, so both routes see one."""
+    return make_noise_actor(
+        row_count=len(metric),
+        feature_count=feature_count,
+        part_ids=metric.part_ids,
+        seed=derive_seed(base_seed, NOISE_ACTOR_ID),
+    )
+
+
 def run_noise_baseline(
     call: CallForUncertainty,
+    base_seed: int,
     feature_count: int = DEFAULT_NOISE_FEATURES,
-    seed: int = 0,
 ) -> UncertaintyResponse:
     """The coordinator's no-knowledge reference: identical pipeline, noise features."""
-    noise = make_noise_actor(
-        row_count=len(call.metric),
-        feature_count=feature_count,
-        part_ids=call.metric.part_ids,
-        seed=seed,
-    )
-    result = handle_call(noise, call, base_seed=seed)
+    noise = noise_actor(call.metric, base_seed, feature_count)
+    # The members' seeds come from the noise actor's derived seed, which
+    # handle_call derives once more, not from base_seed directly: that
+    # keeps every floor, and so every ranking, bit-identical.
+    result = handle_call(noise, call, base_seed=derive_seed(base_seed, NOISE_ACTOR_ID))
     if isinstance(result, Decline):
         raise CampaignError("the noise baseline itself failed to train")
     return result
@@ -438,7 +462,7 @@ class ContributionRanking:
 def rank_contributions(
     responses: Sequence[UncertaintyResponse],
     noise: UncertaintyResponse,
-    slack: float = 1.0,
+    slack: float = DEFAULT_SLACK,
 ) -> ContributionRanking:
     """Ascending sort of all reported scalars, noise included.
 
@@ -684,9 +708,9 @@ def run_campaign(
     transform: MetricTransform | None,
     hyper: EnsembleHyper,
     base_seed: int,
-    deadline: float = 120.0,
+    deadline: float = DEFAULT_DEADLINE,
     noise_feature_count: int = DEFAULT_NOISE_FEATURES,
-    slack: float = 1.0,
+    slack: float = DEFAULT_SLACK,
 ) -> tuple[ContributionRanking, dict]:
     """One full call-and-rank round over the given transport.
 
@@ -706,12 +730,7 @@ def run_campaign(
     call = issue_call(metric, transform, hyper, deadline)
     outcomes, noise = transport.request(
         call,
-        partial(
-            run_noise_baseline,
-            call,
-            feature_count=noise_feature_count,
-            seed=derive_seed(base_seed, NOISE_ACTOR_ID),
-        ),
+        partial(run_noise_baseline, call, base_seed, feature_count=noise_feature_count),
     )
 
     responses: list[UncertaintyResponse] = []

@@ -14,17 +14,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
 import pytest
 
 from chaincontrib.baseline import aggregate_company, explain_central, train_central
 from chaincontrib.dataset import (
-    NOISE_ACTOR_ID,
     ActorDataset,
     MetricSeries,
     SyntheticSpec,
     generate_synthetic,
-    make_noise_actor,
 )
 from chaincontrib.ensemble import EnsembleHyper
 from chaincontrib.protocol import (
@@ -33,7 +30,7 @@ from chaincontrib.protocol import (
     InProcessTransport,
     LocalActor,
     MetricTransform,
-    derive_seed,
+    noise_actor,
     run_campaign,
 )
 
@@ -106,9 +103,7 @@ def _run_fleet(seed: int, cross_correlation: float) -> FleetRun:
     datasets, metric, _ = generate_synthetic(spec)
     # Standardise the shared metric; raw targets far from unit scale let
     # the variance head saturate before the mean head has learned.
-    sigma = float(np.std(metric.values))
-    mu = float(np.mean(metric.values))
-    transform = MetricTransform(scale=1.0 / sigma, offset=-mu / sigma)
+    transform = MetricTransform.unit_spread(metric)
     actors = [LocalActor(dataset=ds, base_seed=seed) for ds in datasets]
     ranking, _ = run_campaign(
         InProcessTransport(actors), metric, transform, FLEET_HYPER, seed
@@ -161,19 +156,12 @@ def central_scores_plain(fleet_plain: Fleet) -> dict[int, dict[str, float]]:
 def central_scores_with_noise(fleet_plain: Fleet) -> dict[int, dict[str, float]]:
     """Centralised totals with the noise block pooled in as a fifth actor.
 
-    Mirrors the decentralised campaign's noise baseline (same id, same
-    derived seed) so the two rankings cover identical actor sets.
+    Pools the decentralised campaign's own noise actor, so the two
+    rankings cover identical actor sets.
     """
     scores: dict[int, dict[str, float]] = {}
     for run in fleet_plain.runs:
-        noisy = list(run.datasets) + [
-            make_noise_actor(
-                row_count=len(run.metric),
-                feature_count=5,
-                part_ids=run.metric.part_ids,
-                seed=derive_seed(run.seed, NOISE_ACTOR_ID),
-            )
-        ]
+        noisy = list(run.datasets) + [noise_actor(run.metric, run.seed)]
         model = train_central(noisy, run.metric, FLEET_HYPER, seed=run.seed)
         report = explain_central(
             model,

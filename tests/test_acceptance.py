@@ -27,7 +27,6 @@ from chaincontrib.baseline import exact_shapley, kernel_shap
 from chaincontrib.cli import main
 from chaincontrib.dataset import (
     NOISE_ACTOR_ID,
-    MeasurementBlock,
     MetricSeries,
     SyntheticSpec,
     aggregate_quality,
@@ -184,19 +183,9 @@ def test_criterion_2_total_variance_matches_sampled_mixture() -> None:
 
 
 def test_criterion_3_quality_score_desk_checks() -> None:
-    on_target = MeasurementBlock(
-        actuals=np.array([[1.2, 3.4], [1.2, 3.4]]),
-        setpoints=np.array([1.2, 3.4]),
-    )
-    two_types = MeasurementBlock(
-        actuals=np.array([[1.1, 0.9]]), setpoints=np.array([1.0, 1.0])
-    )
-    two_parts = MeasurementBlock(
-        actuals=np.array([[2.0], [0.0]]), setpoints=np.array([1.0])
-    )
-    first = aggregate_quality(on_target)
-    second = aggregate_quality(two_types)
-    third = aggregate_quality(two_parts)
+    first = aggregate_quality(np.array([[1.2, 3.4], [1.2, 3.4]]), np.array([1.2, 3.4]))
+    second = aggregate_quality(np.array([[1.1, 0.9]]), np.array([1.0, 1.0]))
+    third = aggregate_quality(np.array([[2.0], [0.0]]), np.array([1.0]))
     # 1.1 - 1.0 rounds in binary; "exact" for the middle case means exact
     # up to that representation error.
     ok = first == 0.0 and abs(second - 0.1) <= 1e-15 and third == 2.0
@@ -337,9 +326,7 @@ def test_criterion_8_round_trip_and_transport_parity() -> None:
         seed=77,
     )
     datasets, metric, _ = generate_synthetic(spec)
-    sigma = float(np.std(metric.values))
-    mu = float(np.mean(metric.values))
-    transform = MetricTransform(scale=1.0 / sigma, offset=-mu / sigma)
+    transform = MetricTransform.unit_spread(metric)
     hyper = EnsembleHyper(
         member_count=2,
         hidden_size=12,

@@ -573,11 +573,17 @@ def edit_manifest(data: Path, index: int, **fields) -> None:
     path.write_text(json.dumps(manifest))
 
 
-def test_reply_reusing_an_actor_id_writes_the_log(tmp_path, capsys) -> None:
+def test_reply_reusing_an_actor_id_writes_the_log(tmp_path, monkeypatch, capsys) -> None:
     path = write_config(tmp_path)
     synth_then(tmp_path, path)
-    # actor-2's file is served under actor-1's id, so two actors reply as actor-1.
-    edit_manifest(tmp_path / "run" / "data", 1, actor_id="actor-1")
+    # A manifest may not name one actor twice, so the loader itself serves
+    # actor-2's dataset under actor-1's id: two actors reply as actor-1.
+    load = cli.load_actor_datasets
+    monkeypatch.setattr(
+        cli,
+        "load_actor_datasets",
+        lambda in_dir: [dataclasses.replace(ds, actor_id="actor-1") for ds in load(in_dir)[:2]],
+    )
     assert run("run-decentralised", "--config", str(path)) == 3
     assert "names actor 'actor-1'" in capsys.readouterr().err
     out = tmp_path / "run" / "decentralised"
@@ -755,6 +761,37 @@ def test_manifest_entry_that_save_would_not_write_exits_two(
         assert run(command, "--config", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "manifest.json" in err
+
+
+@pytest.mark.parametrize("transport", cli.TRANSPORTS)
+def test_manifest_naming_one_actor_twice_exits_two(tmp_path, capsys, transport) -> None:
+    path = write_config(tmp_path, transport=transport)
+    synth_then(tmp_path, path)
+    edit_manifest(tmp_path / "run" / "data", 1, actor_id="actor-1")
+    capsys.readouterr()
+    for command in ("run-decentralised", "run-central"):
+        assert run(command, "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {tmp_path / 'run' / 'data' / 'manifest.json'}: "
+            "actor_id 'actor-1' appears more than once\n"
+        )
+
+
+@pytest.mark.parametrize("transport", cli.TRANSPORTS)
+def test_constant_metric_exits_two_before_any_actor_starts(
+    tmp_path, monkeypatch, capsys, transport
+) -> None:
+    path = write_config(tmp_path, transport=transport)
+    synth_then(tmp_path, path)
+    metric_path = tmp_path / "run" / "data" / "metric.csv"
+    metric = MetricSeries.from_csv(metric_path)
+    MetricSeries(part_ids=metric.part_ids, values=np.full(len(metric), 5.0)).to_csv(metric_path)
+    monkeypatch.setattr(cli, "_spawn_actors", lambda *_: pytest.fail("an actor started"))
+    capsys.readouterr()
+    assert run("run-decentralised", "--config", str(path)) == 2
+    assert capsys.readouterr().err == "error: metric is constant; nothing to estimate\n"
+    assert not (tmp_path / "run" / "decentralised" / "campaign_log.json").exists()
 
 
 def test_silent_socket_actor_exits_three_and_leaves_no_child(

@@ -18,7 +18,6 @@ from chaincontrib import dataset
 from chaincontrib.dataset import (
     NOISE_ACTOR_ID,
     ActorDataset,
-    MeasurementBlock,
     MetricSeries,
     ParseError,
     RawTable,
@@ -384,35 +383,40 @@ class TestCleanMeasurements:
 
 class TestAggregateQuality:
     def test_perfect_actuals_give_zero(self):
-        block = MeasurementBlock(
-            actuals=[[2.0, 3.0], [2.0, 3.0]], setpoints=[2.0, 3.0]
-        )
-        assert aggregate_quality(block) == 0.0
+        assert aggregate_quality([[2.0, 3.0], [2.0, 3.0]], [2.0, 3.0]) == 0.0
 
     def test_two_types_one_part_hand_value(self):
-        block = MeasurementBlock(actuals=[[1.1, 0.9]], setpoints=[1.0, 1.0])
         # (0.1 + 0.1) / 2, exact up to float rounding of 1.1 - 1.0
-        assert aggregate_quality(block) == pytest.approx(0.1, abs=1e-15)
+        assert aggregate_quality([[1.1, 0.9]], [1.0, 1.0]) == pytest.approx(0.1, abs=1e-15)
 
     def test_one_type_two_parts_hand_value(self):
-        block = MeasurementBlock(actuals=[[2.0], [0.0]], setpoints=[1.0])
-        assert aggregate_quality(block) == 2.0
+        assert aggregate_quality([[2.0], [0.0]], [1.0]) == 2.0
 
     def test_zero_setpoint_rejected(self):
-        block = MeasurementBlock(actuals=[[1.0]], setpoints=[0.0])
         with pytest.raises(ValueError, match="positive"):
-            aggregate_quality(block)
+            aggregate_quality([[1.0]], [0.0])
 
     def test_missing_values_rejected(self):
-        block = MeasurementBlock(actuals=[[np.nan]], setpoints=[1.0])
         with pytest.raises(ValueError, match="missing"):
-            aggregate_quality(block)
+            aggregate_quality([[np.nan]], [1.0])
+
+    @pytest.mark.parametrize(
+        ("actuals", "setpoints", "message"),
+        [
+            (np.empty((0, 2)), [1.0, 1.0], "must not be empty"),
+            ([[1.0, 2.0]], [1.0], "one setpoint per measurement type"),
+            ([[1.0, 2.0], [1.0, 2.0]], [[1.0, 2.0]], "must match the actuals shape"),
+        ],
+        ids=["empty", "setpoint-count", "per-part-shape"],
+    )
+    def test_shapes_checked(self, actuals, setpoints, message):
+        with pytest.raises(ValueError, match=message):
+            aggregate_quality(actuals, setpoints)
 
     def test_per_part_setpoints_supported(self):
-        block = MeasurementBlock(
-            actuals=[[1.0], [4.0]], setpoints=[[2.0], [2.0]]
+        assert aggregate_quality([[1.0], [4.0]], [[2.0], [2.0]]) == pytest.approx(
+            (0.5 + 1.0) / 1.0
         )
-        assert aggregate_quality(block) == pytest.approx((0.5 + 1.0) / 1.0)
 
     @given(
         deviation=st.floats(0.0, 5.0),
@@ -426,9 +430,9 @@ class TestAggregateQuality:
     ):
         setpoints = np.full(n_types, 2.0)
         actuals = np.full((n_parts, n_types), 2.0 * (1.0 + deviation))
-        base = aggregate_quality(MeasurementBlock(actuals, setpoints))
+        base = aggregate_quality(actuals, setpoints)
         scaled = aggregate_quality(
-            MeasurementBlock(np.full((n_parts, n_types), 2.0 * (1.0 + deviation * scale)), setpoints)
+            np.full((n_parts, n_types), 2.0 * (1.0 + deviation * scale)), setpoints
         )
         assert base == pytest.approx(deviation * n_parts)
         assert scaled == pytest.approx(base * scale, rel=1e-9, abs=1e-12)
@@ -443,13 +447,13 @@ class TestAggregateQuality:
     @settings(max_examples=60, deadline=None)
     def test_nonnegative_and_zero_iff_perfect(self, actuals):
         setpoints = np.array([1.0, 2.0, 4.0])
-        block = MeasurementBlock(np.asarray(actuals), setpoints)
-        value = aggregate_quality(block)
+        actuals = np.asarray(actuals)
+        value = aggregate_quality(actuals, setpoints)
         assert value >= 0.0
-        if np.all(np.asarray(actuals) == setpoints):
+        if np.all(actuals == setpoints):
             assert value == 0.0
         if value == 0.0:
-            np.testing.assert_array_equal(block.actuals, np.broadcast_to(setpoints, block.actuals.shape))
+            np.testing.assert_array_equal(actuals, np.broadcast_to(setpoints, actuals.shape))
 
 
 class TestBuildMetricSeries:
@@ -532,7 +536,7 @@ class TestBuildMetricSeries:
         series = build_metric_series(table, names, setpoints)
         rows = np.broadcast_to(targets, (n, width))
         oracle = [
-            aggregate_quality(MeasurementBlock(actuals[i : i + 1], rows[i]))
+            aggregate_quality(actuals[i : i + 1], rows[i])
             for i in range(n)
         ]
         assert series.values.tolist() == oracle
@@ -968,6 +972,32 @@ class TestSaveLoadActorDatasets:
             save_actor_datasets([first, hostile], tmp_path / "out")
         assert list(tmp_path.iterdir()) == []  # not even the first actor's file
 
+    def test_save_refuses_two_datasets_under_one_id(self, tmp_path):
+        spec = SyntheticSpec(
+            actor_count=3,
+            features_per_actor=2,
+            signal_weights=(1.0, 1.0, 1.0),
+            noise_std=0.5,
+            row_count=200,
+            seed=4,
+        )
+        first, second, third = generate_synthetic(spec)[0]
+        twin = dataclasses.replace(second, actor_id=first.actor_id)
+        with pytest.raises(ValueError, match="'actor-1' names more than one dataset"):
+            save_actor_datasets([first, twin, third], tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []  # not even the first actor's file
+
+    def test_manifest_naming_one_actor_twice_is_a_parse_error(self, tmp_path):
+        self.save_two_actors(tmp_path)
+        self.edit_manifest(tmp_path, "actor-2", actor_id="actor-1")
+        for read in (list_actor_ids, load_actor_datasets):
+            with pytest.raises(
+                ParseError, match="manifest.json: actor_id 'actor-1' appears more than once"
+            ):
+                read(tmp_path)
+        with pytest.raises(ParseError, match="appears more than once"):
+            load_actor_dataset(tmp_path, "actor-1")
+
     def test_load_refuses_a_manifest_file_outside_the_directory(self, tmp_path):
         self.save_two_actors(tmp_path / "data")
         manifest = tmp_path / "data" / "manifest.json"
@@ -1012,6 +1042,16 @@ class TestSaveLoadActorDatasets:
         (tmp_path / "manifest.json").write_text(text)
         with pytest.raises(ParseError, match="manifest.json"):
             list_actor_ids(tmp_path)
+
+    @pytest.mark.parametrize("field", ["actor_id", "file", "columns", "shared_flags"])
+    def test_manifest_entry_missing_a_field_is_a_parse_error(self, tmp_path, field):
+        self.save_two_actors(tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["actors"][1][field]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match=f"manifest.json: missing field '{field}'"):
+            load_actor_datasets(tmp_path)
 
     def test_unknown_actor_names_the_ones_found(self, tmp_path):
         self.save_two_actors(tmp_path)

@@ -1,10 +1,16 @@
-"""Tables are cut in ``dataset`` alone; the CLI builds no data record by hand.
+"""Each set-up record has one maker: tables are cut in ``dataset`` alone,
+the CLI builds no data record by hand, and ``protocol`` alone builds the
+noise reference and the metric rescaling.
 
 ``RawTable.select`` is the one way to cut a table, so a ``RawTable(``
 call outside ``dataset.py`` would let a second cutting rule drift from
 it. The ingest command hands rows to ``build_metric_series`` and
 ``partition_actors``, so it has no reason to build a ``MetricSeries``
-either. The sources are scanned for both.
+either. Both routes rank or pool the noise actor of
+``protocol.noise_actor`` and rescale with ``MetricTransform.unit_spread``,
+so a ``make_noise_actor(`` or ``MetricTransform(`` call outside
+``protocol.py`` would be a second recipe that ``compare`` silently
+relies on matching. The sources are scanned for all four.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chaincontrib"
 FORBIDDEN = {
     "RawTable": lambda name: name != "dataset.py",
     "MetricSeries": lambda name: name == "cli.py",
+    "make_noise_actor": lambda name: name != "protocol.py",
+    "MetricTransform": lambda name: name != "protocol.py",
 }
 
 
@@ -59,6 +67,7 @@ def test_no_table_or_series_is_built_by_hand() -> None:
         for line in constructor_calls(path.read_text(encoding="utf-8"), constructor)
     ]
     assert not stray, (
-        "cut tables with RawTable.select and build metrics in dataset:\n"
+        "cut tables with RawTable.select, build metrics in dataset, and the "
+        "noise actor and metric rescaling in protocol:\n"
         + "\n".join(stray)
     )

@@ -45,6 +45,7 @@ from chaincontrib.protocol import (
     encode_message,
     handle_call,
     issue_call,
+    noise_actor,
     rank_contributions,
     run_campaign,
     run_noise_baseline,
@@ -168,6 +169,18 @@ class TestMetricTransform:
         np.testing.assert_array_equal(out.values, [1.0, 3.0])
         assert out.part_ids == series.part_ids
 
+    def test_unit_spread_is_the_standardising_map(self):
+        values = np.array([1.0, 2.0, 4.0, 9.0])
+        series = MetricSeries(part_ids=("a", "b", "c", "d"), values=values)
+        spread, center = float(np.std(values)), float(np.mean(values))
+        expected = MetricTransform(scale=1.0 / spread, offset=-center / spread)
+        assert MetricTransform.unit_spread(series) == expected
+
+    def test_unit_spread_rejects_a_constant_metric(self):
+        series = MetricSeries(part_ids=("a", "b"), values=np.array([3.0, 3.0]))
+        with pytest.raises(ValueError, match="metric is constant; nothing to estimate"):
+            MetricTransform.unit_spread(series)
+
 
 class TestCoordinator:
     def test_call_carries_metric_verbatim_without_transform(self):
@@ -181,8 +194,7 @@ class TestCoordinator:
         metric = MetricSeries(
             part_ids=tuple(f"P{i}" for i in range(200)), values=values
         )
-        t = MetricTransform(scale=1.0 / values.std(), offset=-values.mean() / values.std())
-        call = issue_call(metric, t, FAST_HYPER, 5.0)
+        call = issue_call(metric, MetricTransform.unit_spread(metric), FAST_HYPER, 5.0)
         assert call.metric.values.mean() == pytest.approx(0.0, abs=1e-12)
         assert call.metric.values.std() == pytest.approx(1.0)
 
@@ -487,16 +499,34 @@ class TestNoiseBaseline:
     def test_tagged_with_reserved_actor_id(self):
         _, metric = synth_actors()
         call = example_call(metric)
-        response = run_noise_baseline(call, feature_count=2, seed=3)
+        response = run_noise_baseline(call, 3, feature_count=2)
         assert response.actor_id == NOISE_ACTOR_ID
         assert response.total_uncertainty > 0.0
 
     def test_deterministic(self):
         _, metric = synth_actors()
         call = example_call(metric)
-        a = run_noise_baseline(call, feature_count=2, seed=3)
-        b = run_noise_baseline(call, feature_count=2, seed=3)
+        a = run_noise_baseline(call, 3, feature_count=2)
+        b = run_noise_baseline(call, 3, feature_count=2)
         assert a == b
+
+    def test_trains_the_actor_that_noise_actor_builds(self):
+        # run-central pools noise_actor(metric, seed); the floor must come
+        # from that very actor, its members seeded from the derived seed.
+        _, metric = synth_actors()
+        call = example_call(metric)
+        actor = noise_actor(metric, 3, feature_count=2)
+        assert actor.actor_id == NOISE_ACTOR_ID
+        assert actor.part_ids == metric.part_ids
+        assert actor.columns == ("noise0", "noise1")
+        expected = handle_call(actor, call, base_seed=derive_seed(3, NOISE_ACTOR_ID))
+        assert run_noise_baseline(call, 3, feature_count=2) == expected
+
+    def test_noise_actor_follows_the_seed(self):
+        _, metric = synth_actors()
+        same = noise_actor(metric, 3).features, noise_actor(metric, 3).features
+        np.testing.assert_array_equal(*same)
+        assert not np.array_equal(same[0], noise_actor(metric, 4).features)
 
     def test_noise_exceeds_near_perfect_actor_in_median(self):
         # One actor sees the target itself plus tiny jitter; over 10 seeds
@@ -519,9 +549,7 @@ class TestNoiseBaseline:
             metric = MetricSeries(part_ids=ids, values=y)
             call = example_call(metric)
             actor_reply = handle_call(informative, call, base_seed=seed)
-            noise_reply = run_noise_baseline(
-                call, feature_count=2, seed=derive_seed(seed, NOISE_ACTOR_ID)
-            )
+            noise_reply = run_noise_baseline(call, seed, feature_count=2)
             assert isinstance(actor_reply, UncertaintyResponse)
             gaps.append(noise_reply.total_uncertainty - actor_reply.total_uncertainty)
         assert np.median(gaps) > 0.0
