@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import select
 import subprocess
@@ -57,12 +56,15 @@ from chaincontrib.dataset import (
     load_actor_dataset,
     load_actor_datasets,
     load_csv,
+    parse_json,
     partition_actors,
     require_file_name,
     require_int,
     require_real,
     require_text,
+    require_unique,
     save_actor_datasets,
+    write_json,
 )
 from chaincontrib.ensemble import EnsembleHyper
 from chaincontrib.evaluation import build_comparison, emit_report
@@ -129,7 +131,7 @@ def _names(name: str, value) -> tuple[str, ...]:
     # tuple() of one string would split it into letters.
     if isinstance(value, str):
         raise TypeError(f"{name}: expected a list of column names, got {value!r}")
-    return tuple(require_text(name, v) for v in value)
+    return require_unique(name, tuple(require_text(name, v) for v in value))
 
 
 @dataclass(frozen=True)
@@ -292,11 +294,7 @@ def cmd_synth(config: RunConfig) -> int:
     datasets, series, truth = generate_synthetic(config.synth)
     _write_inputs(config, datasets, series)
     truth_path = config.actor_dir / "truth.json"
-    truth_path.write_text(
-        json.dumps({k: float(v) for k, v in truth.items()}, sort_keys=True, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(truth_path, {k: float(v) for k, v in truth.items()})
     print(f"wrote ground truth to {truth_path}")
     return 0
 
@@ -412,10 +410,6 @@ def _spawn_actors(
     return endpoints
 
 
-def _write_log(path: Path, log: dict) -> None:
-    path.write_text(json.dumps(log, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def cmd_run_decentralised(config: RunConfig) -> int:
     out = config.out / "decentralised"
     ranking_path, log_path = out / "ranking.csv", out / "campaign_log.json"
@@ -454,7 +448,7 @@ def cmd_run_decentralised(config: RunConfig) -> int:
     except CampaignError as exc:
         # A failed campaign still records its declines and timeouts.
         if exc.log is not None:
-            _write_log(log_path, exc.log)
+            write_json(log_path, exc.log)
             print(f"wrote {log_path}")
         raise
     finally:
@@ -469,7 +463,7 @@ def cmd_run_decentralised(config: RunConfig) -> int:
             proc.stdout.close()
 
     ranking.to_csv(ranking_path)
-    _write_log(log_path, log)
+    write_json(log_path, log)
     print(f"ranked {len(ranking.entries)} actors (noise floor {ranking.noise_floor:.6g})")
     if log["declines"]:
         print(f"declined: {', '.join(log['declines'])}")
@@ -602,7 +596,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "actor":
             return cmd_actor(args)
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = parse_json(Path(args.config).read_text(encoding="utf-8"))
         config = parse_config(raw, args)
         return COMMANDS[args.command](config)
     except CampaignError as exc:

@@ -79,14 +79,36 @@ def require_file_name(name: str, value) -> str:
     return value
 
 
-def _first_repeat(ids: Sequence[str]) -> str | None:
-    """The first id in ``ids`` that an earlier one repeats, or None."""
-    seen: set[str] = set()
-    for name in ids:
-        if name in seen:
-            return name
-        seen.add(name)
-    return None
+def require_unique(name: str, values: Sequence) -> Sequence:
+    """Return ``values`` if no value repeats an earlier one.
+
+    The first repeat raises ValueError naming it. One set comparison
+    checks the whole sequence; only a failing one scans for the name.
+    """
+    distinct = set(values)
+    if len(distinct) != len(values):
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise ValueError(f"{name} {value!r} appears more than once")
+            seen.add(value)
+    return values
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    require_unique("key", [key for key, _ in pairs])
+    return dict(pairs)
+
+
+def parse_json(text: str):
+    """``json.loads`` for every JSON the package reads (configs, manifests
+    and frames): an object that repeats a key raises ValueError naming it."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as sorted, indented JSON and a final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _parse_cell(text: str, row_index: int, column: str) -> float:
@@ -167,6 +189,10 @@ def load_csv(path: str | Path, id_column: str) -> RawTable:
             raise ParseError(f"{path}: empty file, expected a header row") from None
         if id_column not in header:
             raise ParseError(f"{path}: id column {id_column!r} not in header {header}")
+        try:
+            require_unique("column", header)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
         id_pos = header.index(id_column)
         columns = tuple(c for i, c in enumerate(header) if i != id_pos)
 
@@ -193,9 +219,10 @@ def load_csv(path: str | Path, id_column: str) -> RawTable:
                     _parse_cell(cell, row_index, c) for cell, c in zip(row, columns)
                 )
 
-    repeated = _first_repeat(ids)
-    if repeated is not None:
-        raise ParseError(f"{path}: duplicate id {repeated!r}")
+    try:
+        require_unique(id_column, ids)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
     values = np.asarray(cells, dtype=float).reshape(len(ids), len(columns))
     return RawTable(ids=tuple(ids), columns=columns, values=values)
@@ -344,8 +371,7 @@ class MetricSeries:
         values = np.asarray(self.values, dtype=float).reshape(-1)
         if len(self.part_ids) != values.shape[0]:
             raise ValueError("part_ids and values must have equal length")
-        if len(set(self.part_ids)) != len(self.part_ids):
-            raise ValueError("part_ids must be unique")
+        require_unique("part_id", self.part_ids)
         if values.size and not np.all(np.isfinite(values)):
             raise ValueError("metric values must be finite")
         values.setflags(write=False)
@@ -436,8 +462,8 @@ class ActorDataset:
             raise ValueError("features shape does not match ids x columns")
         if len(self.shared_flags) != len(self.columns):
             raise ValueError("one shared flag per column required")
-        if len(set(self.part_ids)) != len(self.part_ids):
-            raise ValueError("part_ids must be unique")
+        require_unique("part_id", self.part_ids)
+        require_unique("column", self.columns)
         if not np.isfinite(features).all():
             raise ValueError(f"actor {self.actor_id!r}: missing or infinite feature values")
         features.setflags(write=False)
@@ -474,9 +500,10 @@ def partition_actors(
     """Split feature columns into per-actor private views.
 
     Every table column must belong to exactly one actor or be marked
-    shared; shared columns are copied into every actor's view and flagged.
+    shared, and no shared column may be named twice; shared columns are
+    copied into every actor's view and flagged.
     """
-    shared = list(dict.fromkeys(shared_columns))
+    shared = require_unique("shared column", list(shared_columns))
     for c in shared:
         if c not in table.columns:
             raise ValueError(f"shared column {c!r} not in table")
@@ -639,9 +666,7 @@ def save_actor_datasets(datasets: Sequence[ActorDataset], out_dir: str | Path) -
     """
     for ds in datasets:
         require_file_name("actor id", ds.actor_id)
-    repeated = _first_repeat([ds.actor_id for ds in datasets])
-    if repeated is not None:
-        raise ValueError(f"actor id {repeated!r} names more than one dataset")
+    require_unique("actor id", [ds.actor_id for ds in datasets])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -660,53 +685,45 @@ def save_actor_datasets(datasets: Sequence[ActorDataset], out_dir: str | Path) -
                 "shared_flags": list(ds.shared_flags),
             }
         )
-    with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump({"actors": manifest}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", {"actors": manifest})
 
 
 def _read_manifest(in_dir: Path) -> list[dict]:
-    """The manifest's entries; ParseError unless each actor_id is a bare
-    file name that no other entry names."""
+    """The manifest's entries, each checked whole; ParseError unless every
+    entry has each field, its actor_id and file are bare file names, its
+    shared_flags are booleans, and no other entry names its actor_id."""
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {in_dir}")
-    with manifest_path.open(encoding="utf-8") as fh:
-        manifest = json.load(fh)
     try:
-        entries = manifest["actors"]
-        ids = [require_file_name("actor_id", entry["actor_id"]) for entry in entries]
+        entries = parse_json(manifest_path.read_text(encoding="utf-8"))["actors"]
+        for entry in entries:
+            require_file_name("actor_id", entry["actor_id"])
+            require_file_name("file", entry["file"])
+            flags = entry["shared_flags"]
+            if set(map(type, flags)) - {bool}:
+                raise TypeError(f"shared_flags must be true or false, got {flags!r}")
+            if "columns" not in entry:
+                raise KeyError("columns")
+        require_unique("actor_id", [entry["actor_id"] for entry in entries])
     except KeyError as exc:
         raise ParseError(f"{manifest_path}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{manifest_path}: {exc}") from None
-    repeated = _first_repeat(ids)
-    if repeated is not None:
-        raise ParseError(f"{manifest_path}: actor_id {repeated!r} appears more than once")
     return entries
 
 
 def _load_entry(in_dir: Path, entry: dict) -> ActorDataset:
-    """ParseError unless the entry has every field, its file is a bare file
-    name and its flags booleans."""
-    try:
-        require_file_name("file", entry["file"])
-        flags, columns = entry["shared_flags"], entry["columns"]
-        if set(map(type, flags)) - {bool}:
-            raise TypeError(f"shared_flags must be true or false, got {flags!r}")
-    except KeyError as exc:
-        raise ParseError(f"{in_dir / 'manifest.json'}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{in_dir / 'manifest.json'}: {exc}") from None
+    """The dataset of an entry that ``_read_manifest`` checked."""
     table = load_csv(in_dir / entry["file"], id_column="part_id")
-    if list(table.columns) != columns:
+    if list(table.columns) != entry["columns"]:
         raise ParseError(f"{entry['file']}: columns do not match the manifest")
     return ActorDataset(
         actor_id=entry["actor_id"],
         part_ids=table.ids,
         columns=table.columns,
         features=table.values,
-        shared_flags=tuple(flags),
+        shared_flags=tuple(entry["shared_flags"]),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chaincontrib.dataset import require_int, require_real
+from chaincontrib.dataset import require_int, require_real, require_unique
 
 
 class TrainingError(RuntimeError):
@@ -566,9 +566,7 @@ class Ensemble:
             raise ValueError("an ensemble needs at least 2 members")
         if len({m.w1.shape for m in self.members}) != 1:
             raise ValueError("members must share one layout")
-        seeds = [m.rng_seed for m in self.members]
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("member seeds must be pairwise distinct")
+        require_unique("member seed", [m.rng_seed for m in self.members])
         rows = np.array(self.validation_rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("an ensemble needs a non-empty 2-d set of validation rows")

@@ -44,8 +44,10 @@ from chaincontrib.dataset import (
     ActorDataset,
     MetricSeries,
     make_noise_actor,
+    parse_json,
     require_real,
     require_text,
+    require_unique,
     write_csv,
 )
 from chaincontrib.ensemble import (
@@ -187,32 +189,24 @@ _HYPER_FIELDS = frozenset(f.name for f in fields(EnsembleHyper))
 def encode_message(message: Message) -> bytes:
     """One message per UTF-8 text line, terminated by a newline."""
     if isinstance(message, CallForUncertainty):
-        frame = {
-            "kind": "call",
-            "schema_version": SCHEMA_VERSION,
-            "call_id": message.call_id,
+        kind, body = "call", {
             "part_ids": list(message.metric.part_ids),
             "values": [float(v) for v in message.metric.values],
             "hyper": asdict(message.hyper),
             "response_deadline": message.response_deadline,
         }
     elif isinstance(message, UncertaintyResponse):
-        frame = {
-            "kind": "response",
-            "schema_version": SCHEMA_VERSION,
-            "call_id": message.call_id,
+        kind, body = "response", {
             "actor_id": message.actor_id,
             "total_uncertainty": message.total_uncertainty,
         }
     elif isinstance(message, Decline):
-        frame = {
-            "kind": "decline",
-            "schema_version": SCHEMA_VERSION,
-            "call_id": message.call_id,
-            "actor_id": message.actor_id,
-        }
+        kind, body = "decline", {"actor_id": message.actor_id}
     else:
         raise TypeError(f"not a protocol message: {type(message).__name__}")
+    frame = {
+        "kind": kind, "schema_version": SCHEMA_VERSION, "call_id": message.call_id, **body
+    }
     return (json.dumps(frame, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
@@ -222,47 +216,33 @@ def _require(frame: dict, key: str):
     return frame[key]
 
 
-def _require_text(frame: dict, key: str) -> str:
-    try:
-        return require_text(key, _require(frame, key))
-    except TypeError as exc:
-        raise DecodeError("malformed", str(exc)) from None
-
-
 def decode_message(data: bytes) -> Message:
-    """Inverse of encode_message; unknown fields are ignored. Ids must be
-    JSON strings and metric values JSON numbers, or the frame is malformed."""
+    """Inverse of encode_message; unknown fields are ignored. The schema
+    version must be the JSON integer 1, ids JSON strings and metric values
+    JSON numbers, and no object may repeat a key, or the frame is refused."""
     if not data or not data.endswith(b"\n"):
         raise DecodeError("truncated", "frame must end with a newline")
     try:
-        frame = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and over-long integers;
-        # RecursionError covers over-deep nesting.
-        raise DecodeError("malformed", str(exc)) from None
-    if not isinstance(frame, dict):
-        raise DecodeError("malformed", "frame is not an object")
-    version = _require(frame, "schema_version")
-    if version != SCHEMA_VERSION:
-        raise DecodeError(
-            "version-mismatch", f"got {version!r}, speak {SCHEMA_VERSION}"
-        )
-    kind = _require(frame, "kind")
-    call_id = _require_text(frame, "call_id")
-    if kind == "call":
-        hyper_raw = _require(frame, "hyper")
-        if not isinstance(hyper_raw, dict):
-            raise DecodeError("malformed", "hyper must be an object")
-        part_ids, values = _require(frame, "part_ids"), _require(frame, "values")
-        # One check of each list's element types, not one call per element.
-        if not isinstance(part_ids, list) or set(map(type, part_ids)) - {str}:
-            raise DecodeError("malformed", "part_ids must be a list of strings")
-        if not isinstance(values, list) or set(map(type, values)) - {int, float}:
-            raise DecodeError("malformed", "values must be a list of numbers")
-        try:
-            hyper = EnsembleHyper(
-                **{k: v for k, v in hyper_raw.items() if k in _HYPER_FIELDS}
-            )
+        frame = parse_json(data.decode("utf-8"))
+        if not isinstance(frame, dict):
+            raise DecodeError("malformed", "frame is not an object")
+        version = _require(frame, "schema_version")
+        # True == 1 and 1.0 == 1 in Python, so the type is checked as well.
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise DecodeError("version-mismatch", f"got {version!r}, speak {SCHEMA_VERSION}")
+        kind = _require(frame, "kind")
+        call_id = require_text("call_id", _require(frame, "call_id"))
+        if kind == "call":
+            hyper_raw = _require(frame, "hyper")
+            if not isinstance(hyper_raw, dict):
+                raise DecodeError("malformed", "hyper must be an object")
+            part_ids, values = _require(frame, "part_ids"), _require(frame, "values")
+            # One check of each list's element types, not one call per element.
+            if not isinstance(part_ids, list) or set(map(type, part_ids)) - {str}:
+                raise DecodeError("malformed", "part_ids must be a list of strings")
+            if not isinstance(values, list) or set(map(type, values)) - {int, float}:
+                raise DecodeError("malformed", "values must be a list of numbers")
+            hyper = EnsembleHyper(**{k: v for k, v in hyper_raw.items() if k in _HYPER_FIELDS})
             metric = MetricSeries(
                 part_ids=tuple(part_ids), values=np.asarray(values, dtype=float)
             )
@@ -272,23 +252,24 @@ def decode_message(data: bytes) -> Message:
                 hyper=hyper,
                 response_deadline=_require(frame, "response_deadline"),
             )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DecodeError("malformed", str(exc)) from None
-    if kind == "response":
-        value = _require(frame, "total_uncertainty")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DecodeError("malformed", "total_uncertainty must be one number")
-        actor_id = _require_text(frame, "actor_id")
-        try:
+        if kind == "response":
+            value = _require(frame, "total_uncertainty")
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise DecodeError("malformed", "total_uncertainty must be one number")
             return UncertaintyResponse(
-                actor_id=actor_id,
+                actor_id=require_text("actor_id", _require(frame, "actor_id")),
                 call_id=call_id,
                 total_uncertainty=float(value),
             )
-        except (ValueError, OverflowError) as exc:
-            raise DecodeError("malformed", str(exc)) from None
-    if kind == "decline":
-        return Decline(actor_id=_require_text(frame, "actor_id"), call_id=call_id)
+        if kind == "decline":
+            actor_id = require_text("actor_id", _require(frame, "actor_id"))
+            return Decline(actor_id=actor_id, call_id=call_id)
+    except DecodeError:
+        raise
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON, a repeated key, over-long
+        # integers and out-of-range fields; RecursionError over-deep nesting.
+        raise DecodeError("malformed", str(exc)) from None
     raise DecodeError("unknown-kind", repr(kind))
 
 
@@ -384,9 +365,13 @@ _RANKING_COLUMNS = ["rank", "actor_id", "total_uncertainty", "below_noise_floor"
 
 @dataclass(frozen=True)
 class ContributionRanking:
-    """Actors ordered by ascending uncertainty; rank 1 = highest contribution."""
+    """Actors ordered by ascending uncertainty; rank 1 = highest contribution.
+    No actor may be ranked twice."""
 
     entries: tuple[RankEntry, ...]
+
+    def __post_init__(self) -> None:
+        require_unique("actor_id", [e.actor_id for e in self.entries])
 
     @property
     def noise_floor(self) -> float:
@@ -444,9 +429,6 @@ class ContributionRanking:
             raise ValueError(
                 f"{path}: a rank or total_uncertainty is not a number ({exc})"
             ) from None
-        ids = sorted(e.actor_id for e in entries)
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"{path}: an actor is ranked twice, in {ids}")
         if not all(0.0 <= e.total_uncertainty < np.inf for e in entries):
             raise ValueError(f"{path}: a total_uncertainty is not finite and non-negative")
         entries.sort(key=lambda e: (e.total_uncertainty, e.actor_id))
@@ -456,7 +438,10 @@ class ContributionRanking:
                 f"{path}: ranks {ranks} in ascending total_uncertainty order "
                 f"(ties by actor id) do not run 1..{len(entries)}"
             )
-        return cls(entries=tuple(entries))
+        try:
+            return cls(entries=tuple(entries))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def rank_contributions(
@@ -473,15 +458,11 @@ def rank_contributions(
     """
     if not responses:
         raise CampaignError("no responses to rank")
-    if slack <= 0:
+    if not slack > 0:
         raise ValueError("slack must be positive")
     call_ids = {r.call_id for r in responses} | {noise.call_id}
     if len(call_ids) != 1:
         raise ValueError(f"responses mix call_ids: {sorted(call_ids)}")
-    seen = [r.actor_id for r in responses] + [noise.actor_id]
-    if len(set(seen)) != len(seen):
-        raise ValueError("duplicate actor_id among responses")
-
     everyone = sorted(
         [*responses, noise], key=lambda r: (r.total_uncertainty, r.actor_id)
     )

@@ -856,7 +856,10 @@ def test_shap_summary_round_trip(tmp_path) -> None:
 @pytest.mark.parametrize(
     ("body", "error", "match"),
     [
-        ("a,1.0\na,2.0\nb,0.5\n", ParseError, "duplicate"),
+        pytest.param(
+            "a,1.0\na,2.0\nb,0.5\n", ParseError, "actor_id 'a' appears more than once",
+            id="a,1.0\na,2.0\nb,0.5\n-ParseError-duplicate",
+        ),
         ("a,1.0\nb,\n", ValueError, "finite"),
         ("a,1.0\nb,nan\n", ValueError, "finite"),
         ("a,inf\nb,0.5\n", ValueError, "finite"),

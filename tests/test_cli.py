@@ -95,6 +95,17 @@ def test_malformed_json_exits_two(tmp_path) -> None:
     assert run("synth", "--config", str(path)) == 2
 
 
+@pytest.mark.parametrize("key", ["seed", "noise_std"])
+def test_config_repeating_a_key_exits_two(tmp_path, capsys, key) -> None:
+    path = write_config(tmp_path)
+    # Plain JSON would keep the last value, 11.
+    text = path.read_text()
+    path.write_text(text.replace(f'"{key}": ', f'"{key}": 11, "{key}": ', 1))
+    assert run("synth", "--config", str(path)) == 2
+    assert capsys.readouterr().err == f"error: key '{key}' appears more than once\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     ("section", "key", "value"),
     [
@@ -406,6 +417,37 @@ def test_ingest_measurement_used_as_feature_exits_two(tmp_path, capsys, override
     assert run("ingest", "--config", str(path)) == 2
     assert "m1" in capsys.readouterr().err
     assert not (tmp_path / "run" / "data").exists()
+
+
+@pytest.mark.parametrize(
+    ("field", "names"),
+    [("measurement_columns", ["m1", "m1", "m2"]), ("shared_columns", ["hum", "hum"])],
+)
+def test_ingest_repeated_config_name_exits_two_unread(
+    tmp_path, capsys, monkeypatch, field, names
+) -> None:
+    path = ingest_config(tmp_path, **{field: names})
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a data file was read")
+
+    monkeypatch.setattr(cli, "load_csv", no_read)
+    assert run("ingest", "--config", str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: data section invalid: {field} {names[0]!r} appears more than once\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def test_ingest_repeated_header_column_exits_two(tmp_path, capsys) -> None:
+    path = ingest_config(tmp_path)
+    raw = tmp_path / "raw.csv"
+    header, *rows = raw.read_text().splitlines(keepends=True)
+    # A second f2 column, which plain reading would fill with the first one's values.
+    raw.write_text("".join([header.rstrip() + ",f2\n", *(r.rstrip() + ",99.0\n" for r in rows)]))
+    assert run("ingest", "--config", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {raw}: column 'f2' appears more than once\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("actor_id", ["../x", "a/b", "..", ""])
@@ -751,16 +793,37 @@ def test_infinite_feature_cell_exits_two_in_process_and_three_over_sockets(
     ids=["integer-id", "path-id", "string-flags"],
 )
 def test_manifest_entry_that_save_would_not_write_exits_two(
-    tmp_path, capsys, field, value
+    tmp_path, monkeypatch, capsys, field, value
 ) -> None:
     path = write_config(tmp_path)
     synth_then(tmp_path, path)
     edit_manifest(tmp_path / "run" / "data", 1, **{field: value})
     capsys.readouterr()
+
+    def no_actor(*args, **kwargs):
+        raise AssertionError("an actor process was started")
+
+    monkeypatch.setattr(cli.subprocess, "Popen", no_actor)
+    # Both transports: the coordinator checks the whole manifest it reads.
+    for config in (path, socket_config(tmp_path, path)):
+        for command in ("run-decentralised", "run-central"):
+            assert run(command, "--config", str(config)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and "manifest.json" in err
+
+
+@pytest.mark.parametrize("transport", cli.TRANSPORTS)
+def test_manifest_repeating_a_key_exits_two(tmp_path, capsys, transport) -> None:
+    path = write_config(tmp_path, transport=transport)
+    synth_then(tmp_path, path)
+    manifest = tmp_path / "run" / "data" / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"actors": ', '"actors": [], "actors": '))
+    capsys.readouterr()
     for command in ("run-decentralised", "run-central"):
         assert run(command, "--config", str(path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "manifest.json" in err
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: key 'actors' appears more than once\n"
+        )
 
 
 @pytest.mark.parametrize("transport", cli.TRANSPORTS)
@@ -963,7 +1026,8 @@ def test_compare_duplicate_summary_actor_exits_two(tmp_path, capsys) -> None:
     path = hand_written_results(tmp_path, summary=summary)
     assert run("compare", "--config", str(path)) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "duplicate" in err[0]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "actor_id 'a' appears more than once" in err[0]
 
 
 def test_compare_ranking_with_a_repeated_actor_exits_two(tmp_path, capsys) -> None:
@@ -972,7 +1036,8 @@ def test_compare_ranking_with_a_repeated_actor_exits_two(tmp_path, capsys) -> No
         ranking.write("4,a,9.0,true\n")
     assert run("compare", "--config", str(path)) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "ranked twice" in err[0]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "actor_id 'a' appears more than once" in err[0]
     assert not (tmp_path / "run" / "comparison").exists()
 
 

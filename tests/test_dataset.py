@@ -32,10 +32,13 @@ from chaincontrib.dataset import (
     load_csv,
     make_noise_actor,
     partition_actors,
+    parse_json,
     require_file_name,
     require_real,
+    require_unique,
     save_actor_datasets,
     write_csv,
+    write_json,
 )
 
 
@@ -76,7 +79,7 @@ class TestLoadCsv:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         p = write(tmp_path / "t.csv", "id,a\nP1,1\nP1,2\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError, match=r"t\.csv: id 'P1' appears more than once"):
             load_csv(p, id_column="id")
 
     def test_unparseable_number_names_row_and_column(self, tmp_path):
@@ -92,6 +95,13 @@ class TestLoadCsv:
     def test_empty_file_rejected(self, tmp_path):
         p = write(tmp_path / "t.csv", "")
         with pytest.raises(ParseError, match="empty"):
+            load_csv(p, id_column="id")
+
+    def test_repeated_header_column_rejected_before_any_row(self, tmp_path):
+        # Read on, the second 'a' would hold the first one's values. The
+        # short row would be an error too, so no row was read.
+        p = write(tmp_path / "t.csv", "id,a,b,a\nP1,1\n")
+        with pytest.raises(ParseError, match=r"t\.csv: column 'a' appears more than once"):
             load_csv(p, id_column="id")
 
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
@@ -129,7 +139,7 @@ def reference_load(path, id_column):
     seen = set()
     for part_id in ids:
         if part_id in seen:
-            raise ParseError(f"{path}: duplicate id {part_id!r}")
+            raise ParseError(f"{path}: {id_column} {part_id!r} appears more than once")
         seen.add(part_id)
     columns = tuple(c for i, c in enumerate(header) if i != id_pos)
     return tuple(ids), columns, rows
@@ -560,7 +570,7 @@ class TestBuildMetricSeries:
 
 class TestMetricSeries:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="part_id 'P1' appears more than once"):
             MetricSeries(part_ids=("P1", "P1"), values=np.array([1.0, 2.0]))
 
     def test_nonfinite_values_rejected(self):
@@ -646,6 +656,12 @@ class TestPartitionActors:
         with pytest.raises(ValueError, match="clean"):
             partition_actors(table, {"a": "alpha"})
 
+    def test_repeated_shared_column_rejected(self):
+        table = self.make_table()
+        schema = {"a1": "alpha", "a2": "alpha", "b1": "beta"}
+        with pytest.raises(ValueError, match="shared column 'hum' appears more than once"):
+            partition_actors(table, schema, shared_columns=["hum", "temp", "hum"])
+
 
 class TestActorDataset:
     def test_rows_for_returns_requested_order(self):
@@ -682,6 +698,23 @@ class TestActorDataset:
                 columns=("x",),
                 features=np.array([[np.nan]]),
                 shared_flags=(False,),
+            )
+
+    @pytest.mark.parametrize(
+        ("part_ids", "columns", "match"),
+        [
+            (("P1", "P1"), ("x", "y"), "part_id 'P1' appears more than once"),
+            (("P1", "P2"), ("x", "x"), "column 'x' appears more than once"),
+        ],
+    )
+    def test_repeated_part_id_or_column_rejected(self, part_ids, columns, match):
+        with pytest.raises(ValueError, match=match):
+            ActorDataset(
+                actor_id="a",
+                part_ids=part_ids,
+                columns=columns,
+                features=np.ones((2, 2)),
+                shared_flags=(False, False),
             )
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
@@ -858,6 +891,36 @@ class TestRequireReal:
             require_real("x", value)
 
 
+class TestRequireUnique:
+    def test_returns_the_values_it_is_given(self):
+        values = ("a", "b", "c")
+        assert require_unique("x", values) is values
+        assert require_unique("x", []) == []
+
+    def test_names_the_first_repeat(self):
+        with pytest.raises(ValueError, match=r"^x 'b' appears more than once$"):
+            require_unique("x", ["a", "b", "c", "b", "c"])
+        with pytest.raises(ValueError, match=r"^seed 3 appears more than once$"):
+            require_unique("seed", [3, 4, 3])
+
+
+class TestJson:
+    def test_parse_refuses_a_repeated_key_at_any_depth(self):
+        assert parse_json('{"a": [{"b": 1}, {"b": 2}], "b": 3}') == {
+            "a": [{"b": 1}, {"b": 2}], "b": 3
+        }
+        for text, key in [('{"seed": 7, "seed": 11}', "seed"), ('[{"b": 1, "b": 2}]', "b")]:
+            with pytest.raises(ValueError, match=f"^key '{key}' appears more than once$"):
+                parse_json(text)
+
+    def test_write_json_sorts_keys_and_indents(self, tmp_path):
+        write_json(tmp_path / "x.json", {"b": [1, 0.5], "a": {"d": True, "c": None}})
+        assert (tmp_path / "x.json").read_bytes() == (
+            b'{\n  "a": {\n    "c": null,\n    "d": true\n  },\n'
+            b'  "b": [\n    1,\n    0.5\n  ]\n}\n'
+        )
+
+
 class TestMakeNoiseActor:
     def test_shape_and_centering(self):
         ids = tuple(f"P{i}" for i in range(100))
@@ -983,7 +1046,7 @@ class TestSaveLoadActorDatasets:
         )
         first, second, third = generate_synthetic(spec)[0]
         twin = dataclasses.replace(second, actor_id=first.actor_id)
-        with pytest.raises(ValueError, match="'actor-1' names more than one dataset"):
+        with pytest.raises(ValueError, match="actor id 'actor-1' appears more than once"):
             save_actor_datasets([first, twin, third], tmp_path / "out")
         assert list(tmp_path.iterdir()) == []  # not even the first actor's file
 
@@ -1005,9 +1068,10 @@ class TestSaveLoadActorDatasets:
         manifest.write_text(manifest.read_text().replace('"actor-2.csv"', '"../x.csv"'))
         with pytest.raises(ValueError, match="manifest.json: file must be a bare file name"):
             load_actor_datasets(tmp_path / "data")
-        with pytest.raises(ValueError, match="bare file name"):
-            load_actor_dataset(tmp_path / "data", "actor-2")
-        assert load_actor_dataset(tmp_path / "data", "actor-1").actor_id == "actor-1"
+        # The manifest is checked whole, so no actor loads from it.
+        for actor_id in ("actor-1", "actor-2"):
+            with pytest.raises(ValueError, match="bare file name"):
+                load_actor_dataset(tmp_path / "data", actor_id)
 
     def edit_manifest(self, in_dir, actor, **fields):
         """Replace fields of one actor's manifest entry with raw JSON values."""
@@ -1026,6 +1090,28 @@ class TestSaveLoadActorDatasets:
             load_actor_datasets(tmp_path)
         with pytest.raises(ParseError, match="shared_flags must be true or false"):
             load_actor_dataset(tmp_path, "actor-2")
+
+    def test_manifest_repeating_a_key_is_a_parse_error(self, tmp_path):
+        self.save_two_actors(tmp_path)
+        path = tmp_path / "manifest.json"
+        text = path.read_text()
+        path.write_text(text.replace('"file": "actor-2.csv"', '"file": "actor-2.csv", "file": "x"'))
+        for read in (list_actor_ids, load_actor_datasets):
+            with pytest.raises(ParseError, match="manifest.json: key 'file' appears more than once"):
+                read(tmp_path)
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("shared_flags", ["false", False]), ("file", "../x.csv")]
+    )
+    def test_manifest_is_checked_whole_before_any_file_is_read(self, tmp_path, field, value):
+        self.save_two_actors(tmp_path)
+        self.edit_manifest(tmp_path, "actor-2", **{field: value})
+        with mock.patch.object(dataset, "load_csv", side_effect=AssertionError("file read")):
+            for read in (list_actor_ids, load_actor_datasets):
+                with pytest.raises(ParseError, match=f"manifest.json: {field}"):
+                    read(tmp_path)
+            with pytest.raises(ParseError, match=f"manifest.json: {field}"):
+                load_actor_dataset(tmp_path, "actor-1")
 
     @pytest.mark.parametrize("actor_id", [7, None, ["actor-2"], "../x", ""])
     def test_manifest_actor_id_must_be_a_bare_file_name(self, tmp_path, actor_id):

@@ -840,7 +840,7 @@ class TestNormaliser:
 
 class TestEnsembleInvariants:
     def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="member seed 1 appears more than once"):
             hand_ensemble([constant_member(0, 0, seed=1), constant_member(1, 0, seed=1)])
 
     def test_mismatched_layouts_rejected(self):

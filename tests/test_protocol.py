@@ -129,6 +129,13 @@ HOSTILE_FRAMES = {
 }
 
 
+# A reply that repeats a key; plain JSON would keep the last value.
+REPEATED_KEY_REPLY = (
+    b'{"actor_id": "alpha", "actor_id": "beta", "call_id": "call-000001", '
+    b'"kind": "response", "schema_version": 1, "total_uncertainty": 0.5}\n'
+)
+
+
 # Float fields of a call frame that hold something other than a finite number.
 NON_NUMBER_FRAMES = {
     "string-deadline": frame_with(example_call(), response_deadline="5"),
@@ -249,12 +256,39 @@ class TestCodec:
         assert err.value.reason == "unknown-kind"
 
     def test_version_mismatch_rejected(self):
-        frame = json.dumps(
-            {"kind": "decline", "schema_version": 99, "call_id": "c", "actor_id": "a"}
-        ).encode() + b"\n"
-        with pytest.raises(DecodeError) as err:
-            decode_message(frame)
-        assert err.value.reason == "version-mismatch"
+        # Only the JSON integer 1 is version 1; True and 1.0 equal 1 in Python.
+        for version in (99, 0, True, 1.0, "1", None, [1]):
+            frame = json.dumps(
+                {"kind": "decline", "schema_version": version, "call_id": "c", "actor_id": "a"}
+            ).encode() + b"\n"
+            with pytest.raises(DecodeError) as err:
+                decode_message(frame)
+            assert err.value.reason == "version-mismatch"
+            assert str(err.value) == f"version-mismatch: got {version!r}, speak 1"
+
+    def test_encoded_bytes_are_json_with_sorted_keys(self):
+        assert encode_message(Decline("a", "c")) == (
+            b'{"actor_id": "a", "call_id": "c", "kind": "decline", "schema_version": 1}\n'
+        )
+        assert encode_message(UncertaintyResponse("a", "c", 0.25)) == (
+            b'{"actor_id": "a", "call_id": "c", "kind": "response", '
+            b'"schema_version": 1, "total_uncertainty": 0.25}\n'
+        )
+        raw = json.loads(encode_message(example_call()))
+        assert list(raw) == sorted(raw) and raw["kind"] == "call"
+        assert set(raw) == {
+            "call_id", "hyper", "kind", "part_ids", "response_deadline", "schema_version", "values"
+        }
+
+    def test_repeated_key_is_malformed(self):
+        call = encode_message(example_call())
+        nested = call.replace(b'"hyper": {', b'"hyper": {"batch_size": 64, ', 1)
+        assert nested != call
+        for frame, key in ((REPEATED_KEY_REPLY, "actor_id"), (nested, "batch_size")):
+            with pytest.raises(DecodeError) as err:
+                decode_message(frame)
+            assert err.value.reason == "malformed"
+            assert str(err.value) == f"malformed: key {key!r} appears more than once"
 
     def test_unknown_fields_ignored(self):
         raw = json.loads(encode_message(Decline("a", "c")).decode())
@@ -584,6 +618,13 @@ class TestRankContributions:
         assert exact.entries[0].actor_id == "A"
         assert exact.entries[0].below_noise_floor
 
+    @pytest.mark.parametrize("slack", [0.0, -1.0, math.nan])
+    def test_slack_must_be_a_positive_number(self, slack):
+        with pytest.raises(ValueError, match="slack must be positive"):
+            rank_contributions(
+                [response("A", 2.5)], noise=response(NOISE_ACTOR_ID, 2.0), slack=slack
+            )
+
     def test_slack_multiplier_loosens_the_floor(self):
         ranking = rank_contributions(
             [response("A", 2.5)],
@@ -612,7 +653,7 @@ class TestRankContributions:
             rank_contributions([], noise=response(NOISE_ACTOR_ID, 2.0))
 
     def test_duplicate_actor_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="actor_id 'A' appears more than once"):
             rank_contributions(
                 [response("A", 1.0), response("A", 1.5)],
                 noise=response(NOISE_ACTOR_ID, 2.0),
@@ -690,7 +731,7 @@ class TestRankContributions:
             "rank,actor_id,total_uncertainty,below_noise_floor\n"
             f"1,A,0.5,false\n2,{NOISE_ACTOR_ID},1.0,false\n3,A,9.0,true\n"
         )
-        with pytest.raises(ValueError, match="ranked twice") as caught:
+        with pytest.raises(ValueError, match="actor_id 'A' appears more than once") as caught:
             ContributionRanking.from_csv(path)
         assert str(path) in str(caught.value)
 
@@ -1226,6 +1267,21 @@ class TestSocketTransport:
                     assert stream.readline() == b""
             reply = decode_message(self.ask(server, frame))
             assert reply == Decline(datasets[0].actor_id, example_call().call_id)
+
+    def test_reply_repeating_a_key_counts_as_a_timeout(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        peer = threading.Thread(
+            target=reply_once, args=(listener, REPEATED_KEY_REPLY), daemon=True
+        )
+        peer.start()
+        try:
+            transport = SocketTransport([listener.getsockname()[:2]])
+            [outcome], _ = transport.request(example_call(), lambda: None)
+        finally:
+            peer.join(timeout=10.0)
+            listener.close()
+        assert outcome.message is None
+        assert outcome.detail == "malformed: key 'actor_id' appears more than once"
 
     @pytest.mark.parametrize("name", ["object-call-id", "null-actor-id"])
     def test_reply_with_a_non_text_id_counts_as_a_timeout(self, name):
