@@ -596,7 +596,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "actor":
             return cmd_actor(args)
-        raw = parse_json(Path(args.config).read_text(encoding="utf-8"))
+        path = Path(args.config)
+        try:
+            raw = parse_json(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         config = parse_config(raw, args)
         return COMMANDS[args.command](config)
     except CampaignError as exc:

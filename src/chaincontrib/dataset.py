@@ -111,7 +111,7 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _parse_cell(text: str, row_index: int, column: str) -> float:
+def _parse_cell(text: str, path: Path, row_index: int, column: str) -> float:
     s = text.strip()
     if s == "" or s.lower() == "nan":
         return float("nan")
@@ -119,7 +119,7 @@ def _parse_cell(text: str, row_index: int, column: str) -> float:
         return float(s)
     except ValueError:
         raise ParseError(
-            f"row {row_index}, column {column!r}: cannot parse {text!r} as a number"
+            f"{path}: row {row_index}, column {column!r}: cannot parse {text!r} as a number"
         ) from None
 
 
@@ -216,7 +216,7 @@ def load_csv(path: str | Path, id_column: str) -> RawTable:
             except ValueError:
                 del cells[row_start:]
                 cells.extend(
-                    _parse_cell(cell, row_index, c) for cell, c in zip(row, columns)
+                    _parse_cell(cell, path, row_index, c) for cell, c in zip(row, columns)
                 )
 
     try:

@@ -44,7 +44,6 @@ class EnsembleHyper:
 
     member_count: int = 5
     hidden_size: int = 50
-    dropout_rate: float = 0.5
     batch_size: int = 128
     patience_epochs: int = 100
     max_epochs: int = 2000
@@ -54,10 +53,8 @@ class EnsembleHyper:
     def __post_init__(self) -> None:
         for name, least in _INTEGER_MINIMUMS.items():
             require_int(name, getattr(self, name), least)
-        for name in ("dropout_rate", "learning_rate", "validation_fraction"):
+        for name in ("learning_rate", "validation_fraction"):
             object.__setattr__(self, name, require_real(name, getattr(self, name)))
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be non-negative")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -136,14 +133,13 @@ def _parameter_views(flat: np.ndarray, input_size: int, hidden_size: int) -> tup
     )
 
 
-def _forward_into(params, batch, hidden, out, active=None, dropout_mask=None) -> None:
+def _forward_into(params, batch, hidden, out, active=None) -> None:
     """The network's only forward pass, written into preallocated arrays.
 
     ``params`` is (w1, b1, w2, b2) of one member, or stacked as from
     ``_parameter_views`` with one batch for all members or one each.
-    ``hidden`` receives the rectified hidden layer (times the dropout
-    mask, if any) and ``out`` the two heads; ``active`` marks where the
-    rectifier passes gradient.
+    ``hidden`` receives the rectified hidden layer and ``out`` the two
+    heads; ``active`` marks where the rectifier passes gradient.
     """
     w1, b1, w2, b2 = params
     np.matmul(batch, w1, out=hidden)
@@ -151,14 +147,12 @@ def _forward_into(params, batch, hidden, out, active=None, dropout_mask=None) ->
     np.maximum(hidden, 0.0, out=hidden)
     if active is not None:
         np.greater(hidden, 0.0, out=active)
-    if dropout_mask is not None:
-        np.multiply(hidden, dropout_mask, out=hidden)
     np.matmul(hidden, w2, out=out)
     np.add(out, b2[..., None, :], out=out)
 
 
 def _evaluate(params, batch: np.ndarray, buffers=None) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation-mode pass (no dropout) over a (rows, inputs) batch.
+    """Forward pass over a (rows, inputs) batch.
 
     ``params`` is one member's (w1, b1, w2, b2) or stacked members' as
     from ``_parameter_views``; returns the means and the clamped
@@ -219,8 +213,8 @@ class _Scratch:
     @staticmethod
     def _shapes(members: int, rows: int, hidden_size: int) -> tuple[list, list]:
         grid, flat = (members, rows, hidden_size), members * rows
-        floats = [(3, *grid), (2, members, rows, 2), (6, flat), (members,)]
-        flags = [(2, *grid), (2, flat)]
+        floats = [(2, *grid), (2, members, rows, 2), (6, flat), (members,)]
+        flags = [grid, (2, flat)]
         return floats, flags
 
     @classmethod
@@ -234,11 +228,10 @@ class _Scratch:
         self, members: int, rows: int, hidden_size: int, floats: np.ndarray, flags: np.ndarray
     ):
         float_shapes, flag_shapes = self._shapes(members, rows, hidden_size)
-        (self.hidden, self.d_hidden, self.dropout), (self.out, self.d_out), sixes, self.total = (
+        (self.hidden, self.d_hidden), (self.out, self.d_out), sixes, self.total = (
             _carve(floats, *float_shapes)
         )
-        (self.active, self.kept), (self.inside, self.below) = _carve(flags, *flag_shapes)
-        self.member_dropout = list(self.dropout)  # each member's mask slot
+        self.active, (self.inside, self.below) = _carve(flags, *flag_shapes)
         # The per-row terms are flat over (member, row): numpy runs a flat
         # strided column of the heads faster than a 2-d one.
         self.raw = self.out.reshape(-1, 2)[:, 1]
@@ -246,7 +239,7 @@ class _Scratch:
         self.log_var, self.negated, self.inv_var, self.residual, self.fit, self.terms = sixes
 
 
-def _loss_into(params, grads, batch, y, dropout_mask, s: _Scratch) -> list[float]:
+def _loss_into(params, grads, batch, y, s: _Scratch) -> list[float]:
     """Each member's mean NLL over its batch; writes the analytic gradients
     into ``grads``.
 
@@ -260,7 +253,7 @@ def _loss_into(params, grads, batch, y, dropout_mask, s: _Scratch) -> list[float
     """
     members, n = y.shape
     lo, hi = LOG_VARIANCE_CLAMP
-    _forward_into(params, batch, s.hidden, s.out, s.active, dropout_mask)
+    _forward_into(params, batch, s.hidden, s.out, s.active)
     log_var = np.minimum(np.maximum(s.raw, lo, out=s.log_var), hi, out=s.log_var)
     inv_var = np.exp(np.negative(log_var, out=s.negated), out=s.inv_var)
     residual = s.residual
@@ -284,8 +277,6 @@ def _loss_into(params, grads, batch, y, dropout_mask, s: _Scratch) -> list[float
     np.matmul(np.swapaxes(s.hidden, -1, -2), s.d_out, out=grad_w2)
     np.add.reduce(s.d_out, axis=1, out=grad_b2)
     d_pre = np.matmul(s.d_out, np.swapaxes(w2, -1, -2), out=s.d_hidden)
-    if dropout_mask is not None:
-        np.multiply(d_pre, dropout_mask, out=d_pre)
     np.multiply(d_pre, s.active, out=d_pre)
     np.matmul(np.swapaxes(batch, -1, -2), d_pre, out=grad_w1)
     np.add.reduce(d_pre, axis=1, out=grad_b1)
@@ -293,16 +284,9 @@ def _loss_into(params, grads, batch, y, dropout_mask, s: _Scratch) -> list[float
 
 
 def loss_and_gradients(
-    member: Member,
-    features: np.ndarray,
-    targets: np.ndarray,
-    dropout_mask: np.ndarray | None = None,
+    member: Member, features: np.ndarray, targets: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean NLL over a batch and its analytic parameter gradients.
-
-    A dropout mask (already scaled by the keep probability) may be passed
-    explicitly so the same mask can be reused when checking gradients.
-    """
+    """Mean NLL over a batch and its analytic parameter gradients."""
     batch = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float).reshape(-1)
     n = batch.shape[0]
@@ -314,10 +298,9 @@ def loss_and_gradients(
     theta = member.parameter_vector()[None]
     grad = np.empty_like(theta)
     params, grads = (_parameter_views(a, input_size, hidden_size) for a in (theta, grad))
-    mask = None if dropout_mask is None else np.asarray(dropout_mask, dtype=float)[None]
     floats, flags = _Scratch.sizes(1, n, hidden_size)
     s = _Scratch(1, n, hidden_size, np.empty(floats), np.empty(flags, dtype=bool))
-    (loss,) = _loss_into(params, grads, batch[None], y[None], mask, s)
+    (loss,) = _loss_into(params, grads, batch[None], y[None], s)
     return loss, dict(zip(("w1", "b1", "w2", "b2"), (g[0] for g in grads)))
 
 
@@ -347,9 +330,8 @@ def _train_lockstep(
     held out. A member stops once its validation NLL has not strictly
     improved for ``patience_epochs`` epochs and gets back the parameters of
     its best validation epoch. All members step in lockstep, one stacked
-    kernel call per minibatch, but each shuffles and draws dropout masks
-    from its own stream: its result depends only on its seed, the data
-    and ``hyper``.
+    kernel call per minibatch, but each shuffles its rows from its own
+    stream: its result depends only on its seed, the data and ``hyper``.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     targets = np.asarray(targets, dtype=float).reshape(-1)
@@ -368,7 +350,6 @@ def _train_lockstep(
             f"need at least 2 x batch_size = {2 * size}"
         )
 
-    keep = 1.0 - hyper.dropout_rate
     count = len(members)
     # The parameters under training live in one (member, P) array in
     # parameter_vector() order, updated in place at every step. The
@@ -435,15 +416,7 @@ def _train_lockstep(
         np.take(x_train, orders[:k], axis=0, out=xs, mode="clip")
         np.take(y_train, orders[:k], out=ys, mode="clip")
         for batch, y, s in batches:
-            mask = None
-            if hyper.dropout_rate > 0.0:
-                # Uniform draws, each member's from its own stream, then in
-                # the same array the kept units scaled by 1 / keep.
-                for rng, slot in zip(rngs, s.member_dropout):
-                    rng.random(out=slot)
-                np.less(s.dropout, keep, out=s.kept)
-                mask = np.multiply(s.kept, 1.0 / keep, out=s.dropout)
-            losses = _loss_into(params, grads, batch, y, mask, s)
+            losses = _loss_into(params, grads, batch, y, s)
             failed = [live[i] for i, loss in enumerate(losses) if not math.isfinite(loss)]
             if failed:
                 raise TrainingError(

@@ -123,6 +123,8 @@ class MetricTransform:
         """The map to zero mean and unit spread. The small per-actor networks
         need it to train reliably whatever the metric's units, and it keeps
         the reported uncertainties comparable; the actors never see it."""
+        if len(metric) == 0:
+            raise ValueError("metric is empty; nothing to estimate")
         spread = float(np.std(metric.values))
         center = float(np.mean(metric.values))
         if spread == 0.0:
@@ -366,12 +368,15 @@ _RANKING_COLUMNS = ["rank", "actor_id", "total_uncertainty", "below_noise_floor"
 @dataclass(frozen=True)
 class ContributionRanking:
     """Actors ordered by ascending uncertainty; rank 1 = highest contribution.
-    No actor may be ranked twice."""
+    No actor may be ranked twice, and the noise actor, which sets the
+    floor, is never flagged below it."""
 
     entries: tuple[RankEntry, ...]
 
     def __post_init__(self) -> None:
         require_unique("actor_id", [e.actor_id for e in self.entries])
+        if any(e.below_noise_floor for e in self.entries if e.actor_id == NOISE_ACTOR_ID):
+            raise ValueError(f"{NOISE_ACTOR_ID} is flagged below its own noise floor")
 
     @property
     def noise_floor(self) -> float:
@@ -395,35 +400,37 @@ class ContributionRanking:
     def from_csv(cls, path) -> "ContributionRanking":
         """Read back a file written by :meth:`to_csv`.
 
-        A ``below_noise_floor`` cell must be
-        ``true`` or ``false``, as :func:`write_csv` writes it; no actor may
-        be ranked twice, every uncertainty is finite and non-negative, and
-        the ranks run 1..n in the order :func:`rank_contributions` gives:
-        ascending uncertainty, ties broken by actor id.
+        As in :func:`load_csv`, every row has one field per column and a
+        non-empty id. A ``below_noise_floor`` cell must be ``true`` or
+        ``false``, as :func:`write_csv` writes it; no actor may be ranked
+        twice, every uncertainty is finite and non-negative, and the ranks
+        run 1..n in the order :func:`rank_contributions` gives: ascending
+        uncertainty, ties broken by actor id.
         """
         # As load_csv does, accept the byte-order mark of a spreadsheet export.
         with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != _RANKING_COLUMNS:
-                raise ValueError(
-                    f"{path} is not a ranking file (columns {reader.fieldnames})"
-                )
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != _RANKING_COLUMNS:
+                raise ValueError(f"{path} is not a ranking file (columns {header})")
             rows = list(reader)
         if not rows:
             raise ValueError(f"{path} contains no ranked actors")
+        for row_index, row in enumerate(rows):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row {row_index} has {len(row)} fields, expected {len(header)}"
+                )
+            if not row[1].strip():
+                raise ValueError(f"{path}: row {row_index} has an empty actor_id")
         flags = {"true": True, "false": False}
-        bad = [row["below_noise_floor"] for row in rows if row["below_noise_floor"] not in flags]
+        bad = [flag for *_, flag in rows if flag not in flags]
         if bad:
             raise ValueError(f"{path}: below_noise_floor must be true or false, got {bad}")
         try:
             entries = [
-                RankEntry(
-                    estimated_rank=int(row["rank"]),
-                    actor_id=row["actor_id"],
-                    total_uncertainty=float(row["total_uncertainty"]),
-                    below_noise_floor=flags[row["below_noise_floor"]],
-                )
-                for row in rows
+                RankEntry(int(rank), actor_id, float(uncertainty), flags[flag])
+                for rank, actor_id, uncertainty, flag in rows
             ]
         except ValueError as exc:
             raise ValueError(

@@ -64,7 +64,6 @@ FLEET_NOISE_STD = 0.5
 FLEET_HYPER = EnsembleHyper(
     member_count=5,
     hidden_size=32,
-    dropout_rate=0.0,
     batch_size=128,
     patience_epochs=50,
     max_epochs=500,

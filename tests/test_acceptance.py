@@ -330,7 +330,6 @@ def test_criterion_8_round_trip_and_transport_parity() -> None:
     hyper = EnsembleHyper(
         member_count=2,
         hidden_size=12,
-        dropout_rate=0.0,
         batch_size=32,
         patience_epochs=10,
         max_epochs=60,
@@ -417,7 +416,6 @@ def test_criterion_9_rerun_produces_identical_ranking_csv(tmp_path) -> None:
         "hyper": {
             "member_count": 2,
             "hidden_size": 12,
-            "dropout_rate": 0.0,
             "batch_size": 32,
             "patience_epochs": 10,
             "max_epochs": 60,

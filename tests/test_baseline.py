@@ -46,7 +46,6 @@ from chaincontrib.ensemble import EnsembleHyper
 CENTRAL_HYPER = EnsembleHyper(
     member_count=2,  # ignored by the central path, kept valid
     hidden_size=16,
-    dropout_rate=0.0,
     batch_size=32,
     patience_epochs=20,
     max_epochs=200,

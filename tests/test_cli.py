@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from chaincontrib.protocol import ContributionRanking
 FAST_HYPER = {
     "member_count": 2,
     "hidden_size": 12,
-    "dropout_rate": 0.0,
     "batch_size": 32,
     "patience_epochs": 15,
     "max_epochs": 120,
@@ -67,9 +67,14 @@ def test_unknown_top_level_key_rejected(tmp_path) -> None:
     assert run("synth", "--config", str(path)) == 2
 
 
-def test_unknown_nested_key_rejected(tmp_path) -> None:
+def test_unknown_nested_key_rejected(tmp_path, capsys) -> None:
     path = write_config(tmp_path, campaign={"slckk": 2.0})
     assert run("synth", "--config", str(path)) == 2
+    # Members train without dropout, so a config that still sets it is refused.
+    path = write_config(tmp_path, hyper={**FAST_HYPER, "dropout_rate": 0.0})
+    capsys.readouterr()
+    assert run("synth", "--config", str(path)) == 2
+    assert capsys.readouterr().err == "error: unknown keys in hyper: dropout_rate\n"
 
 
 def test_invalid_synth_spec_exits_two(tmp_path) -> None:
@@ -89,10 +94,11 @@ def test_missing_config_file_exits_two(tmp_path) -> None:
     assert run("synth", "--config", str(tmp_path / "absent.json")) == 2
 
 
-def test_malformed_json_exits_two(tmp_path) -> None:
+def test_malformed_json_exits_two(tmp_path, capsys) -> None:
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run("synth", "--config", str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: Expecting property name")
 
 
 @pytest.mark.parametrize("key", ["seed", "noise_std"])
@@ -102,7 +108,7 @@ def test_config_repeating_a_key_exits_two(tmp_path, capsys, key) -> None:
     text = path.read_text()
     path.write_text(text.replace(f'"{key}": ', f'"{key}": 11, "{key}": ', 1))
     assert run("synth", "--config", str(path)) == 2
-    assert capsys.readouterr().err == f"error: key '{key}' appears more than once\n"
+    assert capsys.readouterr().err == f"error: {path}: key '{key}' appears more than once\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -125,7 +131,7 @@ def test_config_repeating_a_key_exits_two(tmp_path, capsys, key) -> None:
         ("central", "max_instances", 3.7),
         ("central", "max_instances", -3),
         ("hyper", "learning_rate", int("9" * 400)),
-        ("hyper", "dropout_rate", False),
+        ("hyper", "validation_fraction", False),
         ("campaign", "deadline", "5"),
         ("campaign", "slack", True),
         ("data", "setpoints", {"m1": True}),
@@ -857,6 +863,20 @@ def test_constant_metric_exits_two_before_any_actor_starts(
     assert not (tmp_path / "run" / "decentralised" / "campaign_log.json").exists()
 
 
+@pytest.mark.parametrize("transport", cli.TRANSPORTS)
+def test_empty_metric_exits_two_with_one_line(tmp_path, monkeypatch, capsys, transport) -> None:
+    path = write_config(tmp_path, transport=transport)
+    synth_then(tmp_path, path)
+    metric_path = tmp_path / "run" / "data" / "metric.csv"
+    metric_path.write_text(metric_path.read_text().splitlines()[0] + "\n")
+    monkeypatch.setattr(cli, "_spawn_actors", lambda *_: pytest.fail("an actor started"))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may reach stderr
+        assert run("run-decentralised", "--config", str(path)) == 2
+    assert capsys.readouterr().err == "error: metric is empty; nothing to estimate\n"
+
+
 def test_silent_socket_actor_exits_three_and_leaves_no_child(
     tmp_path, monkeypatch
 ) -> None:
@@ -1028,6 +1048,16 @@ def test_compare_duplicate_summary_actor_exits_two(tmp_path, capsys) -> None:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "actor_id 'a' appears more than once" in err[0]
+
+
+def test_compare_unparsable_summary_cell_names_the_file(tmp_path, capsys) -> None:
+    summary = f"a,oops\nb,1.0\n{NOISE_ACTOR_ID},0.1\n"
+    path = hand_written_results(tmp_path, summary=summary)
+    assert run("compare", "--config", str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'shap_summary.csv'}: row 0, column 'mean_abs_attribution': "
+        "cannot parse 'oops' as a number\n"
+    )
 
 
 def test_compare_ranking_with_a_repeated_actor_exits_two(tmp_path, capsys) -> None:

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -131,7 +132,7 @@ def reference_load(path, id_column):
             ids.append(part_id)
             rows.append(
                 [
-                    dataset._parse_cell(cell, row_index, header[i])
+                    dataset._parse_cell(cell, path, row_index, header[i])
                     for i, cell in enumerate(row)
                     if i != id_pos
                 ]
@@ -205,7 +206,8 @@ class TestLoadCsvMatchesPerCellOracle:
 
     def test_first_fault_in_row_order_is_reported(self, tmp_path):
         p = write(tmp_path / "t.csv", "id,a,b\nP1,1,2\nP2,oops,2\nP3,1\nP1,1,2\n")
-        with pytest.raises(ParseError, match=r"^row 1, column 'a': cannot parse 'oops'"):
+        message = f"{p}: row 1, column 'a': cannot parse 'oops'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
             load_csv(p, id_column="id")
         p = write(tmp_path / "u.csv", "id,a,b\nP1,1,2\nP1,1,2\nP3,1\nP4,x,2\n")
         with pytest.raises(ParseError, match="row 2 has 2 fields, expected 3"):

@@ -31,7 +31,6 @@ from chaincontrib.ensemble import (
 SMALL_HYPER = EnsembleHyper(
     member_count=2,
     hidden_size=8,
-    dropout_rate=0.0,
     batch_size=16,
     patience_epochs=100,
     max_epochs=600,
@@ -72,15 +71,12 @@ class TestHyper:
         hyper = EnsembleHyper()
         assert hyper.member_count == 5
         assert hyper.hidden_size == 50
-        assert hyper.dropout_rate == 0.5
         assert hyper.batch_size == 128
         assert hyper.patience_epochs == 100
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             EnsembleHyper(member_count=1)
-        with pytest.raises(ValueError):
-            EnsembleHyper(dropout_rate=1.0)
         with pytest.raises(ValueError):
             EnsembleHyper(patience_epochs=0)
         with pytest.raises(ValueError):
@@ -94,7 +90,7 @@ class TestHyper:
             with pytest.raises(TypeError, match=name):
                 EnsembleHyper(**{name: value})
 
-    @pytest.mark.parametrize("name", ["dropout_rate", "learning_rate", "validation_fraction"])
+    @pytest.mark.parametrize("name", ["learning_rate", "validation_fraction"])
     def test_float_fields_take_finite_numbers_only(self, name):
         for value in (True, False, "0.1", None):
             with pytest.raises(TypeError, match=name):
@@ -199,7 +195,7 @@ class TestNllLoss:
         np.testing.assert_allclose(values, [0.0, 0.5])
 
 
-def finite_difference_grads(member: Member, x, y, mask, h=1e-5):
+def finite_difference_grads(member: Member, x, y, h=1e-5):
     grads = {}
     arrays = {"w1": member.w1, "b1": member.b1, "w2": member.w2, "b2": member.b2}
 
@@ -209,7 +205,7 @@ def finite_difference_grads(member: Member, x, y, mask, h=1e-5):
         probe = Member(
             w1=parts["w1"], b1=parts["b1"], w2=parts["w2"], b2=parts["b2"], rng_seed=0
         )
-        loss, _ = loss_and_gradients(probe, x, y, dropout_mask=mask)
+        loss, _ = loss_and_gradients(probe, x, y)
         return loss
 
     for name, arr in arrays.items():
@@ -244,9 +240,9 @@ def gradcheck_case(seed: int):
 
 
 class TestGradients:
-    def assert_close_to_fd(self, member, x, y, mask=None):
-        _, analytic = loss_and_gradients(member, x, y, dropout_mask=mask)
-        numeric = finite_difference_grads(member, x, y, mask)
+    def assert_close_to_fd(self, member, x, y):
+        _, analytic = loss_and_gradients(member, x, y)
+        numeric = finite_difference_grads(member, x, y)
         for name in ("w1", "b1", "w2", "b2"):
             ga, gn = analytic[name], numeric[name]
             denom = max(np.linalg.norm(ga), np.linalg.norm(gn), 1e-12)
@@ -257,11 +253,6 @@ class TestGradients:
         for seed in (0, 1, 2):
             member, x, y = gradcheck_case(seed)
             self.assert_close_to_fd(member, x, y)
-
-    def test_matches_finite_differences_with_fixed_dropout_mask(self):
-        member, x, y = gradcheck_case(3)
-        mask = (np.random.default_rng(9).random((5, 4)) < 0.5) / 0.5
-        self.assert_close_to_fd(member, x, y, mask=mask)
 
     def test_clamped_log_variance_has_zero_gradient(self):
         member = constant_member(0.0, 20.0)  # raw log-variance far past the cap
@@ -298,7 +289,6 @@ class TestTrainMember:
         hyper = EnsembleHyper(
             member_count=2,
             hidden_size=8,
-            dropout_rate=0.0,
             batch_size=16,
             patience_epochs=7,
             max_epochs=500,
@@ -318,7 +308,6 @@ class TestTrainMember:
         hyper = EnsembleHyper(
             member_count=2,
             hidden_size=8,
-            dropout_rate=0.0,
             batch_size=16,
             patience_epochs=5,
             max_epochs=500,
@@ -338,7 +327,6 @@ class TestTrainMember:
         hyper = EnsembleHyper(
             member_count=2,
             hidden_size=8,
-            dropout_rate=0.5,
             batch_size=16,
             patience_epochs=10,
             max_epochs=40,
@@ -371,11 +359,9 @@ def reference_train_member(member: Member, features, targets, hyper: EnsembleHyp
     order, so the kernel must reproduce it bit for bit."""
     lo, hi = LOG_VARIANCE_CLAMP
 
-    def layers(p, batch, mask=None):
+    def layers(p, batch):
         pre = batch @ p["w1"] + p["b1"]
         hidden = np.maximum(pre, 0.0)
-        if mask is not None:
-            hidden = hidden * mask
         return pre, hidden, hidden @ p["w2"] + p["b2"]
 
     def val_nll(p):
@@ -383,9 +369,9 @@ def reference_train_member(member: Member, features, targets, hyper: EnsembleHyp
         log_var = np.clip(out[:, 1], lo, hi)
         return float(np.mean(nll_loss(out[:, 0], log_var, y_val)))
 
-    def loss_and_grads(p, batch, y, mask):
+    def loss_and_grads(p, batch, y):
         n = batch.shape[0]
-        pre, hidden, out = layers(p, batch, mask)
+        pre, hidden, out = layers(p, batch)
         mean, raw_log_var = out[:, 0], out[:, 1]
         log_var = np.clip(raw_log_var, lo, hi)
         inv_var = np.exp(-log_var)
@@ -395,10 +381,7 @@ def reference_train_member(member: Member, features, targets, hyper: EnsembleHyp
         d_out[:, 0] = residual * inv_var / n
         inside = (raw_log_var > lo) & (raw_log_var < hi)
         d_out[:, 1] = np.where(inside, (0.5 - 0.5 * residual**2 * inv_var) / n, 0.0)
-        d_hidden = d_out @ p["w2"].T
-        if mask is not None:
-            d_hidden = d_hidden * mask
-        d_pre = d_hidden * (pre > 0.0)
+        d_pre = d_out @ p["w2"].T * (pre > 0.0)
         grads = {
             "w1": batch.T @ d_pre,
             "b1": d_pre.sum(axis=0),
@@ -417,7 +400,6 @@ def reference_train_member(member: Member, features, targets, hyper: EnsembleHyp
     moment1 = {k: np.zeros_like(v) for k, v in params.items()}
     moment2 = {k: np.zeros_like(v) for k, v in params.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    keep = 1.0 - hyper.dropout_rate
     step = 0
     best, best_val, best_epoch = params, val_nll(params), 0
     log = []
@@ -425,10 +407,7 @@ def reference_train_member(member: Member, features, targets, hyper: EnsembleHyp
         order = rng.permutation(x_train.shape[0])
         for start in range(0, x_train.shape[0], hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            mask = None
-            if hyper.dropout_rate > 0.0:
-                mask = (rng.random((idx.size, hyper.hidden_size)) < keep) / keep
-            _, grads = loss_and_grads(params, x_train[idx], y_train[idx], mask)
+            _, grads = loss_and_grads(params, x_train[idx], y_train[idx])
             step += 1
             scale = hyper.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
             for key, grad in grads.items():
@@ -454,12 +433,9 @@ def noisy_linear_data(rows: int, seed: int = 0):
 # 200 rows leave 160 training rows, ten full batches of 16; 203 rows leave
 # 163, so the last minibatch of every epoch has 3 rows.
 EQUIVALENCE_CASES = {
-    "dropout": dict(rows=200, dropout_rate=0.5),
-    "dropout-short-batch": dict(rows=203, dropout_rate=0.5),
-    "no-dropout-short-batch": dict(rows=203, dropout_rate=0.0),
-    "early-stopping": dict(
-        rows=203, dropout_rate=0.5, patience_epochs=3, max_epochs=40, learning_rate=0.03
-    ),
+    "full-batches": dict(rows=200),
+    "short-batch": dict(rows=203),
+    "early-stopping": dict(rows=203, patience_epochs=3, max_epochs=40, learning_rate=0.03),
 }
 
 
@@ -547,17 +523,15 @@ class TestTrainEnsemble:
             train_ensemble(*dataset.align(other)[:2], SMALL_HYPER, base_seed=0)
 
 
-# Plus a keep probability whose inverse, 1 / 0.7, is inexact.
 LOCKSTEP_CASES = {
     **EQUIVALENCE_CASES,
-    "odd-keep-short-batch": dict(rows=203, dropout_rate=0.3),
     # The trainer's shared work buffer fits the larger of the kernel scratch
     # and the validation pass: here 40 validation rows against batches of 4,
     # so the validation pass sizes it...
-    "validation-outnumbers-batch": dict(rows=203, dropout_rate=0.5, batch_size=4),
+    "validation-outnumbers-batch": dict(rows=203, batch_size=4),
     # ...and here a batch of 16 against 10 validation rows (and a short last
     # batch of one row), so the scratch sizes it.
-    "batch-outnumbers-validation": dict(rows=203, dropout_rate=0.5, validation_fraction=0.05),
+    "batch-outnumbers-validation": dict(rows=203, validation_fraction=0.05),
 }
 
 
@@ -610,7 +584,7 @@ class TestLockstepEquivalence:
             assert len(set(stops)) > 1
 
     def poisoned(self):
-        dataset, metric, hyper = lockstep_case("dropout", 5, seed=0)
+        dataset, metric, hyper = lockstep_case("full-batches", 5, seed=0)
         values = metric.values.copy()
         values[0] = 1e160  # a training row whose squared error overflows
         return dataset, MetricSeries(part_ids=metric.part_ids, values=values), hyper

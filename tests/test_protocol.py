@@ -54,7 +54,6 @@ from chaincontrib.protocol import (
 FAST_HYPER = EnsembleHyper(
     member_count=2,
     hidden_size=8,
-    dropout_rate=0.0,
     batch_size=16,
     patience_epochs=15,
     max_epochs=60,
@@ -141,7 +140,7 @@ NON_NUMBER_FRAMES = {
     "string-deadline": frame_with(example_call(), response_deadline="5"),
     "boolean-deadline": frame_with(example_call(), response_deadline=True),
     "boolean-learning-rate": call_frame_with_hyper(learning_rate=True),
-    "boolean-dropout-rate": call_frame_with_hyper(dropout_rate=False),
+    "boolean-validation-fraction": call_frame_with_hyper(validation_fraction=False),
     "string-validation-fraction": call_frame_with_hyper(validation_fraction="0.2"),
     "string-metric-value": frame_with(example_call(), values=["1.5", 0.5, 1.0]),
     "boolean-metric-value": frame_with(example_call(), values=[0.1, True, 1.0]),
@@ -326,7 +325,7 @@ class TestCodec:
 
     @pytest.mark.parametrize(
         "dropped",
-        [{"activation": "relu"}, {"log_variance_clamp": [-10.0, 10.0]}],
+        [{"activation": "relu"}, {"log_variance_clamp": [-10.0, 10.0]}, {"dropout_rate": 0.5}],
         ids=lambda d: next(iter(d)),
     )
     def test_hyper_from_older_peer_decodes(self, dropped):
@@ -725,6 +724,36 @@ class TestRankContributions:
         with pytest.raises(ValueError, match="below_noise_floor"):
             ContributionRanking.from_csv(path)
 
+    @pytest.mark.parametrize(
+        ("row", "fields"), [("2,B,1.0,false,extra", 5), ("2,B,1.0", 3)], ids=["long", "short"]
+    )
+    def test_csv_reader_rejects_a_row_of_the_wrong_width(self, tmp_path, row, fields):
+        path = tmp_path / "ranking.csv"
+        path.write_text(f"rank,actor_id,total_uncertainty,below_noise_floor\n1,A,0.5,false\n{row}\n")
+        with pytest.raises(ValueError) as caught:
+            ContributionRanking.from_csv(path)
+        assert str(caught.value) == f"{path}: row 1 has {fields} fields, expected 4"
+
+    def test_csv_reader_rejects_an_empty_actor_id(self, tmp_path):
+        path = tmp_path / "ranking.csv"
+        path.write_text(
+            "rank,actor_id,total_uncertainty,below_noise_floor\n"
+            f"1,A,0.5,false\n2,,1.0,false\n3,{NOISE_ACTOR_ID},2.0,false\n"
+        )
+        with pytest.raises(ValueError) as caught:
+            ContributionRanking.from_csv(path)
+        assert str(caught.value) == f"{path}: row 1 has an empty actor_id"
+
+    def test_csv_reader_rejects_a_flagged_noise_actor(self, tmp_path):
+        path = tmp_path / "ranking.csv"
+        path.write_text(
+            "rank,actor_id,total_uncertainty,below_noise_floor\n"
+            f"1,A,0.5,false\n2,{NOISE_ACTOR_ID},1.0,true\n"
+        )
+        with pytest.raises(ValueError) as caught:
+            ContributionRanking.from_csv(path)
+        assert str(caught.value) == f"{path}: {NOISE_ACTOR_ID} is flagged below its own noise floor"
+
     def test_csv_reader_rejects_an_actor_ranked_twice(self, tmp_path):
         path = tmp_path / "ranking.csv"
         path.write_text(
@@ -971,7 +1000,6 @@ class TestInProcessCampaign:
     RESCALE_HYPER = EnsembleHyper(
         member_count=3,
         hidden_size=16,
-        dropout_rate=0.0,
         batch_size=32,
         patience_epochs=40,
         max_epochs=250,
