@@ -401,7 +401,7 @@ def reference_train_member(member: Member, features, targets, hyper: EnsembleHyp
     moment2 = {k: np.zeros_like(v) for k, v in params.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-    best, best_val, best_epoch = params, val_nll(params), 0
+    best, best_val, best_epoch = {k: v.copy() for k, v in params.items()}, val_nll(params), 0
     log = []
     for epoch in range(1, hyper.max_epochs + 1):
         order = rng.permutation(x_train.shape[0])
@@ -430,13 +430,30 @@ def noisy_linear_data(rows: int, seed: int = 0):
     return x, x @ np.array([1.5, -1.0, 0.5]) + rng.normal(0.0, 0.7, size=rows)
 
 
+def raw_log_variance(member: Member, x):
+    """The log-variance head before LOG_VARIANCE_CLAMP is applied."""
+    return np.maximum(x @ member.w1 + member.b1, 0.0) @ member.w2[:, 1] + member.b2[1]
+
+
 # 200 rows leave 160 training rows, ten full batches of 16; 203 rows leave
-# 163, so the last minibatch of every epoch has 3 rows.
+# 163, so the last minibatch of every epoch has 3 rows. 40 rows leave 32,
+# the 2 x batch_size the trainer needs at the least; there, at five members,
+# the member of seed 42 never beats its starting validation NLL and gets its
+# starting parameters back.
 EQUIVALENCE_CASES = {
     "full-batches": dict(rows=200),
     "short-batch": dict(rows=203),
+    "fewest-rows": dict(rows=40),
     "early-stopping": dict(rows=203, patience_epochs=3, max_epochs=40, learning_rate=0.03),
+    # Targets so large that the log-variance head is driven past the upper
+    # clamp on some rows, where its gradient is zero, and not on others.
+    "log-variance-clamp": dict(rows=203, target_scale=1e5, learning_rate=0.1),
 }
+
+
+def assert_clamp_engaged(member: Member, x) -> None:
+    above = raw_log_variance(member, x) > LOG_VARIANCE_CLAMP[1]
+    assert above.any() and not above.all()
 
 
 class TestTrainerEquivalence:
@@ -445,6 +462,7 @@ class TestTrainerEquivalence:
     def test_matches_per_key_reference_bit_for_bit(self, case, seed):
         settings = dict(EQUIVALENCE_CASES[case])
         x, y = noisy_linear_data(settings.pop("rows"), seed)
+        y = y * settings.pop("target_scale", 1.0)
         hyper = EnsembleHyper(
             **{
                 "member_count": 2,
@@ -463,6 +481,8 @@ class TestTrainerEquivalence:
         assert log == expected_log
         if case == "early-stopping":
             assert len(log) < hyper.max_epochs  # patience ended the run
+        if case == "log-variance-clamp":
+            assert_clamp_engaged(trained, x)
 
     def test_wrong_arity_rejected_before_any_step(self, monkeypatch):
         from chaincontrib import ensemble
@@ -539,6 +559,7 @@ def lockstep_case(case: str, member_count: int, seed: int):
     """Actor data and hyper for one LOCKSTEP_CASES case at M members."""
     settings = dict(LOCKSTEP_CASES[case])
     x, y = noisy_linear_data(settings.pop("rows"), seed)
+    y = y * settings.pop("target_scale", 1.0)
     hyper = EnsembleHyper(
         **{
             "member_count": member_count,
@@ -577,6 +598,8 @@ class TestLockstepEquivalence:
             expected, expected_log = reference_train_member(start, normalised, targets, hyper)
             assert np.array_equal(member.parameter_vector(), expected)
             assert list(log) == expected_log
+            if case == "log-variance-clamp":
+                assert_clamp_engaged(member, normalised)
         if case == "early-stopping":
             stops = [len(log) for log in ensemble.training_log]
             assert max(stops) < hyper.max_epochs  # patience ended every run
